@@ -15,6 +15,9 @@ Config keys by learner (flat key=value files):
   subcod      subcod.M, subcod.theta, subcod.C (1.0), subcod.seed,
               subcod.inner_k, subcod.inner_C, subcod.em_iters, subcod.em_tol
 
+eval scores the test file in blocks of 256 bags: each learner's batch scorer
+runs once per block, so memory stays bounded by the block.
+
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 The MIML_THREADS environment variable caps worker threads.
 """
@@ -32,31 +35,35 @@ from .core import MimlDataset
 from .solvers import SolverError
 
 
+# query bags per batch-scorer call in ``miml eval``
+EVAL_BLOCK = 256
+
+
 @dataclass(frozen=True)
 class LearnerEntry:
     config_cls: type
     seed_key: str
     fit: Callable
-    predict: Callable
+    predict: Callable       # batch scorer: (model, bags) -> [LabelScores]
     to_payload: Callable
     from_payload: Callable
 
 
 REGISTRY: Dict[str, LearnerEntry] = {
     "mimlboost": LearnerEntry(
-        mimlboost.BoostConfig, "boost.seed", mimlboost.fit, mimlboost.predict,
+        mimlboost.BoostConfig, "boost.seed", mimlboost.fit, mimlboost.predict_many,
         lambda m: m.to_payload(), mimlboost.BoostModel.from_payload),
     "mimlsvm": LearnerEntry(
-        mimlsvm.MimlSvmConfig, "mimlsvm.seed", mimlsvm.fit, mimlsvm.predict,
+        mimlsvm.MimlSvmConfig, "mimlsvm.seed", mimlsvm.fit, mimlsvm.predict_many,
         lambda m: m.to_payload(), mimlsvm.MimlSvmModel.from_payload),
     "dmimlsvm": LearnerEntry(
-        dmimlsvm.DMimlConfig, "dmiml.seed", dmimlsvm.fit, dmimlsvm.predict,
+        dmimlsvm.DMimlConfig, "dmiml.seed", dmimlsvm.fit, dmimlsvm.predict_many,
         lambda m: m.to_payload(), dmimlsvm.DMimlSvmModel.from_payload),
     "insdif": LearnerEntry(
-        insdif.InsDifConfig, "insdif.seed", insdif.fit, insdif.predict_bag,
+        insdif.InsDifConfig, "insdif.seed", insdif.fit, insdif.predict_many,
         lambda m: m.to_payload(), insdif.InsDifModel.from_payload),
     "subcod": LearnerEntry(
-        subcod.SubCodConfig, "subcod.seed", subcod.fit, subcod.predict,
+        subcod.SubCodConfig, "subcod.seed", subcod.fit, subcod.predict_many,
         lambda m: m.to_payload(), subcod.SubCodModel.from_payload),
 }
 
@@ -75,7 +82,7 @@ def make_fit_predict(algo: str, cfg_map: Dict[str, str]):
         local = dict(cfg_map)
         local.setdefault(entry.seed_key, str(run_seed))
         model = fit_with_config(algo, train_ds, local)
-        return lambda bag: entry.predict(model, bag)
+        return lambda bag: entry.predict(model, [bag])[0]
 
     return fit_predict
 
@@ -170,8 +177,15 @@ def _cmd_eval(args, out) -> int:
     env = dataio.parse_model(_read(args.model))
     ds = dataio.parse_dataset(_read(args.data))
     entry = REGISTRY[env.algorithm]
-    model = entry.from_payload(env.payload)
-    preds = [entry.predict(model, bag) for bag, _ in ds.examples]
+    try:
+        model = entry.from_payload(env.payload)
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise dataio.DataFormatError(
+            2, f"bad {env.algorithm} model payload: {exc!r}") from None
+    bags = ds.bags()
+    preds = []
+    for start in range(0, len(bags), EVAL_BLOCK):
+        preds.extend(entry.predict(model, bags[start:start + EVAL_BLOCK]))
     report = metrics.compute_report(preds, ds.label_sets(), ds.T)
     _print_report_table(report, out)
     return 0

@@ -165,6 +165,11 @@ def parse_model(text: str) -> ModelEnvelope:
         data = json.loads(body)
     except json.JSONDecodeError as exc:
         raise DataFormatError(exc.lineno + 1, f"bad model body: {exc.msg}") from None
+    if not isinstance(data, dict):
+        raise DataFormatError(2, "model body must be a JSON object")
+    for key in ("hyper", "payload"):
+        if not isinstance(data.get(key), dict):
+            raise DataFormatError(2, f"model body needs a {key!r} object")
     return ModelEnvelope(algorithm=algo, hyper=data["hyper"], payload=data["payload"])
 
 

@@ -17,7 +17,7 @@ before returning, and slacks are lifted to exact feasibility.
 """
 
 from dataclasses import dataclass, field
-from typing import List, Mapping, Optional, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -592,16 +592,28 @@ def fit(ds: MimlDataset, cfg: DMimlConfig = DMimlConfig()) -> DMimlSvmModel:
     )
 
 
+def _decision_matrix(model: DMimlSvmModel, bags: Sequence[Bag]) -> np.ndarray:
+    """(q, T) values f_t(X*) via the kernel expansion over all training bags
+    and instances."""
+    K = kernel_against_objects(model.kernel, model.train_bags, bags)
+    return K.T @ model.A + model.biases
+
+
 def decision_values(model: DMimlSvmModel, bag: Bag) -> np.ndarray:
-    """f_t(X*) via the kernel expansion over all training bags and instances."""
-    q = kernel_against_objects(model.kernel, model.train_bags, bag)
-    return q @ model.A + model.biases
+    """f_t(X*) of one bag, for every label t."""
+    return _decision_matrix(model, [bag])[0]
+
+
+def predict_many(model: DMimlSvmModel, bags: Sequence[Bag]) -> List[LabelScores]:
+    """Positive-score labels with an argmax fallback for an empty set."""
+    out = []
+    for scores in _decision_matrix(model, bags):
+        predicted = frozenset(np.flatnonzero(scores > 0).tolist())
+        if not predicted:
+            predicted = frozenset({int(np.argmax(scores))})
+        out.append(LabelScores(scores, predicted))
+    return out
 
 
 def predict(model: DMimlSvmModel, bag: Bag) -> LabelScores:
-    """Positive-score labels with an argmax fallback for an empty set."""
-    scores = decision_values(model, bag)
-    predicted = frozenset(int(i) for i in np.flatnonzero(scores > 0))
-    if not predicted:
-        predicted = frozenset({int(np.argmax(scores))})
-    return LabelScores(scores, predicted)
+    return predict_many(model, [bag])[0]

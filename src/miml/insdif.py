@@ -9,7 +9,7 @@ SVD least squares.
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -135,20 +135,23 @@ def fit(ds: MimlDataset, cfg: InsDifConfig = InsDifConfig()) -> InsDifModel:
     )
 
 
-def predict(model: InsDifModel, x: np.ndarray) -> LabelScores:
-    """score(l) = sum_j W[j, l] * d_H(B*, C_j); the literal positive-score
-    rule may return an empty set unless the fallback flag is on."""
-    bag = instance_to_bag(np.asarray(x), model.prototypes, ident="*")
-    phi = pairwise_hausdorff([bag], model.medoids)[0]
-    scores = phi @ model.W
-    predicted = frozenset(int(i) for i in np.flatnonzero(scores > 0))
-    if not predicted and model.fallback:
-        predicted = tcriterion(scores)
-    return LabelScores(scores, predicted)
-
-
-def predict_bag(model: InsDifModel, bag: Bag) -> LabelScores:
-    """Adapter for the common learner interface (size-1 bags)."""
-    if bag.size != 1:
+def predict_many(model: InsDifModel, bags: Sequence[Bag]) -> List[LabelScores]:
+    """score(l) = sum_j W[j, l] * d_H(B*, C_j) for every single-instance
+    bag; the literal positive-score rule may return an empty set unless the
+    fallback flag is on."""
+    if any(bag.size != 1 for bag in bags):
         raise ValueError("InsDif predicts on single-instance examples")
-    return predict(model, bag.feats[0])
+    transformed = [instance_to_bag(bag.feats[0], model.prototypes, ident="*") for bag in bags]
+    Phi = pairwise_hausdorff(transformed, model.medoids)
+    out = []
+    for scores in Phi @ model.W:
+        predicted = frozenset(np.flatnonzero(scores > 0).tolist())
+        if not predicted and model.fallback:
+            predicted = tcriterion(scores)
+        out.append(LabelScores(scores, predicted))
+    return out
+
+
+def predict(model: InsDifModel, x: np.ndarray) -> LabelScores:
+    """Prediction for one instance vector x."""
+    return predict_many(model, [Bag("*", np.asarray(x, dtype=np.float64).reshape(1, -1))])[0]

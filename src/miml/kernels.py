@@ -12,6 +12,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .bagdist import stack_bags
 from .core import Bag, MimlDataset
 
 
@@ -106,9 +107,6 @@ class GramMatrix:
     def index_instance(self, i: int, j: int) -> int:
         return self.m + int(self.offsets[i]) + j
 
-    def instance_indices(self, i: int) -> np.ndarray:
-        return self.m + np.arange(int(self.offsets[i]), int(self.offsets[i + 1]))
-
 
 def build_gram(spec: KernelSpec, ds: MimlDataset) -> GramMatrix:
     """Assemble the joint Gram over bags and instances from one instance-level
@@ -136,16 +134,16 @@ def build_gram(spec: KernelSpec, ds: MimlDataset) -> GramMatrix:
     return GramMatrix(values=K, m=m, offsets=offsets)
 
 
-def kernel_against_objects(spec: KernelSpec, bags: Sequence[Bag], query: Bag) -> np.ndarray:
-    """Set-kernel values between a query bag and all m+n training objects
-    (bags first, then every instance as a singleton bag)."""
-    sizes = np.array([b.size for b in bags], dtype=np.int64)
-    offsets = np.concatenate(([0], np.cumsum(sizes)))
-    Z = np.vstack([b.feats for b in bags])
-    if query.dim != Z.shape[1]:
+def kernel_against_objects(spec: KernelSpec, bags: Sequence[Bag],
+                           queries: Sequence[Bag]) -> np.ndarray:
+    """Set-kernel values between q query bags and all m+n training objects
+    (bags first, then every instance as a singleton bag), as an (m+n, q)
+    matrix from one instance-level kernel call."""
+    Z, offsets = stack_bags(bags)
+    Q, q_offsets = stack_bags(queries)
+    if Q.shape[1] != Z.shape[1]:
         raise ValueError("dimension mismatch")
-    C = instance_gram(spec, Z, query.feats)     # (n, n_query)
-    inst_vals = C.mean(axis=1)                  # query vs each instance
-    m = len(bags)
-    bag_vals = np.add.reduceat(inst_vals, offsets[:-1]) / sizes
-    return np.concatenate([bag_vals, inst_vals])
+    C = instance_gram(spec, Z, Q)    # (n, query instances)
+    inst_vals = np.add.reduceat(C, q_offsets[:-1], axis=1) / np.diff(q_offsets)
+    bag_vals = np.add.reduceat(inst_vals, offsets[:-1], axis=0) / np.diff(offsets)[:, None]
+    return np.vstack([bag_vals, inst_vals])

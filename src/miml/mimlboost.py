@@ -13,6 +13,7 @@ from typing import List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from .bagdist import stack_bags
 from .core import Bag, MimlDataset, psi, require_valid
 from .dataio import config_get
 from .kernels import KernelSpec
@@ -229,19 +230,25 @@ def fit(ds: MimlDataset, cfg: BoostConfig = BoostConfig()) -> BoostModel:
                       history={"rounds": trace, "final_weights": W})
 
 
-def predict(model: BoostModel, bag: Bag) -> LabelScores:
+def predict_many(model: BoostModel, bags: Sequence[Bag]) -> List[LabelScores]:
     """score(y) = sum_j sum_t c_t h_t(x_j, y); predicted = positive scores
-    (the literal rule: possibly empty)."""
+    (the literal rule: possibly empty).
+
+    Each (label, round) pair makes one weak-learner call over the stacked
+    instances of all bags; the per-bag sign counts are exact integers and
+    are accumulated round by round in model order."""
     if not model.rounds and model.T < 1:
         raise ValueError("untrained model")
-    if bag.dim != model.d:
+    X, offsets = stack_bags(bags)
+    if X.shape[1] != model.d:
         raise ValueError("dimension mismatch")
-    scores = np.zeros(model.T)
+    scores = np.zeros((len(bags), model.T))
     for v in range(model.T):
-        Xa = _augment(bag.feats, v, model.T)
-        acc = 0.0
+        Xa = _augment(X, v, model.T)
         for weak, c in model.rounds:
-            acc += c * float(weak.predict_sign(Xa).sum())
-        scores[v] = acc
-    predicted = frozenset(int(i) for i in np.flatnonzero(scores > 0))
-    return LabelScores(scores, predicted)
+            scores[:, v] += c * np.add.reduceat(weak.predict_sign(Xa), offsets[:-1])
+    return [LabelScores(s, frozenset(np.flatnonzero(s > 0).tolist())) for s in scores]
+
+
+def predict(model: BoostModel, bag: Bag) -> LabelScores:
+    return predict_many(model, [bag])[0]

@@ -10,7 +10,7 @@ never empty.
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -110,16 +110,9 @@ def tcriterion(scores: np.ndarray) -> frozenset:
     return frozenset({int(np.argmax(scores))})
 
 
-def _scores_for(svms, z: np.ndarray) -> np.ndarray:
-    return np.array([s.decision_one(z) for s in svms])
-
-
-def _hamming(svms, Z, label_sets, T) -> float:
-    total = 0
-    for i in range(Z.shape[0]):
-        pred = tcriterion(_scores_for(svms, Z[i]))
-        total += len(pred.symmetric_difference(label_sets[i]))
-    return total / (Z.shape[0] * T)
+def _decision_matrix(svms, Z: np.ndarray) -> np.ndarray:
+    """(q, T) per-label SVM scores of the q distance vectors in Z."""
+    return np.column_stack([s.decision(Z) for s in svms])
 
 
 def fit(ds: MimlDataset, cfg: MimlSvmConfig = MimlSvmConfig()) -> MimlSvmModel:
@@ -174,21 +167,19 @@ def _holdout_C(ds: MimlDataset, cfg: MimlSvmConfig):
     scores = {}
     for C in _C_GRID:
         svms = _train_label_svms(Z_sub, sub_ds.label_sets(), ds.T, C, cfg.gamma)
-        total = 0
-        for r in range(len(hold)):
-            pred = tcriterion(_scores_for(svms, Z_hold[r]))
-            total += len(pred.symmetric_difference(hold_labels[r]))
+        total = sum(len(tcriterion(s).symmetric_difference(y))
+                    for s, y in zip(_decision_matrix(svms, Z_hold), hold_labels))
         scores[C] = total / (len(hold) * ds.T)
     best = min(_C_GRID, key=lambda C: (scores[C], C))
     return best, {"holdout_hamming": scores}
 
 
-def predict(model: MimlSvmModel, bag: Bag) -> LabelScores:
+def predict_many(model: MimlSvmModel, bags: Sequence[Bag]) -> List[LabelScores]:
     """T-Criterion prediction from per-label SVM scores on the distance
-    vector; the returned set is never empty."""
-    z = bag_to_vector(model.medoids, bag)
-    scores = _scores_for(model.svms, z)
-    return LabelScores(scores, tcriterion(scores))
+    vectors; no returned set is empty."""
+    Z = pairwise_hausdorff(bags, model.medoids)
+    return [LabelScores(s, tcriterion(s)) for s in _decision_matrix(model.svms, Z)]
 
 
-predict_tcriterion = predict
+def predict(model: MimlSvmModel, bag: Bag) -> LabelScores:
+    return predict_many(model, [bag])[0]

@@ -10,7 +10,7 @@ linear mapper turns pseudo-label vectors back into the original class.
 """
 
 from dataclasses import dataclass, field
-from typing import List, Mapping, Optional, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from .kernels import KernelSpec
 from .metrics import LabelScores
 from .mimlsvm import MimlSvmConfig, MimlSvmModel
 from .mimlsvm import fit as mimlsvm_fit
-from .mimlsvm import predict as mimlsvm_predict
+from .mimlsvm import predict_many as mimlsvm_predict_many
 from .solvers import LpProblem, QpProblem, SvmDecision, solve_lp, solve_qp
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
@@ -357,8 +357,7 @@ def fit(ds: MimlDataset, cfg: SubCodConfig = SubCodConfig()) -> SubCodModel:
               for i in range(ds.m)),
         T=M, d=ds.d,
     )
-    inner_k = cfg.inner_k if cfg.inner_k is not None else None
-    inner_cfg = MimlSvmConfig(k=inner_k, C=cfg.inner_C, seed=cfg.seed)
+    inner_cfg = MimlSvmConfig(k=cfg.inner_k, C=cfg.inner_C, seed=cfg.seed)
     inner = mimlsvm_fit(pseudo, inner_cfg)
 
     classes = tuple(int(v) for v in np.unique(labels))
@@ -384,30 +383,27 @@ def _fit_mappers(c_tilde: np.ndarray, labels: np.ndarray, classes) -> Tuple[SvmD
     return tuple(mappers)
 
 
-def pseudo_label_vector(model: SubCodModel, bag: Bag) -> np.ndarray:
-    """Inner MIML prediction thresholded to a +-1 vector over sub-concepts."""
-    scores = mimlsvm_predict(model.inner, bag)
-    vec = -np.ones(model.gmm.M)
-    for j in scores.predicted:
-        vec[j] = 1.0
-    return vec
-
-
 def predict_label(model: SubCodModel, bag: Bag) -> int:
     """Original class of a new bag: inner pseudo-labels -> mapper argmax."""
-    vec = pseudo_label_vector(model, bag)
-    votes = [mapper.decision_one(vec) for mapper in model.mappers]
-    return model.mapper_classes[int(np.argmax(votes))]
+    return next(iter(predict(model, bag).predicted))
+
+
+def predict_many(model: SubCodModel, bags: Sequence[Bag]) -> List[LabelScores]:
+    """Score view for the evaluation harness: the inner MIML predictions,
+    thresholded to +-1 vectors over the sub-concepts, scored by every
+    per-class mapper; the single predicted class is the mapper argmax."""
+    pseudo = -np.ones((len(bags), model.gmm.M))
+    for row, inner in zip(pseudo, mimlsvm_predict_many(model.inner, bags)):
+        row[list(inner.predicted)] = 1.0
+    votes = np.column_stack([mapper.decision(pseudo) for mapper in model.mappers])
+    T = max(model.mapper_classes) + 1
+    out = []
+    for v in votes:
+        scores = np.full(T, v.min() - 1.0)
+        scores[list(model.mapper_classes)] = v
+        out.append(LabelScores(scores, {model.mapper_classes[int(np.argmax(v))]}))
+    return out
 
 
 def predict(model: SubCodModel, bag: Bag) -> LabelScores:
-    """Score view for the evaluation harness: per-class mapper decisions
-    with the single predicted class."""
-    vec = pseudo_label_vector(model, bag)
-    votes = np.array([mapper.decision_one(vec) for mapper in model.mappers])
-    T = max(model.mapper_classes) + 1
-    scores = np.full(T, -np.inf)
-    scores[list(model.mapper_classes)] = votes
-    scores[scores == -np.inf] = votes.min() - 1.0
-    predicted = frozenset({model.mapper_classes[int(np.argmax(votes))]})
-    return LabelScores(scores, predicted)
+    return predict_many(model, [bag])[0]

@@ -110,3 +110,145 @@ def test_cv_with_against_prints_t_tests(workdir):
     assert code == 0
     assert "paired t-test" in text
     assert text.count("t=") >= 7
+
+
+def _synth(tmp_path, name, spec_text):
+    spec = tmp_path / f"{name}.spec"
+    spec.write_text(spec_text)
+    data = tmp_path / f"{name}.miml"
+    code, _ = _run(["synth", "--spec", str(spec), "--out", str(data)])
+    assert code == 0
+    return data
+
+
+def _train(tmp_path, algo, data, config_text):
+    cfg = tmp_path / f"{algo}.cfg"
+    cfg.write_text(config_text)
+    model = tmp_path / f"{algo}.model"
+    code, _ = _run(["train", "--algo", algo, "--data", str(data),
+                    "--model", str(model), "--config", str(cfg)])
+    assert code == 0
+    return model
+
+
+# (synth shape, training m, config): tiny fits; the 300-bag test file spans
+# more than one eval block
+_GOLDEN_SETUP = {
+    "mimlboost": ("T=3\nd=4\nn_min=1\nn_max=4\nspread=1.5\n", 12,
+                  "boost.rounds=5\nboost.seed=1\n"),
+    "mimlsvm": ("T=5\nd=4\nn_min=2\nn_max=5\nspread=1.0\n", 40, "mimlsvm.seed=1\n"),
+    "dmimlsvm": ("T=3\nd=4\nn_min=1\nn_max=4\nspread=1.5\n", 8,
+                 "dmiml.cccp_iters=3\ndmiml.seed=1\n"),
+    "insdif": ("T=5\nd=4\nn_min=1\nn_max=1\nsingle_instance=1\n", 60, "insdif.seed=1\n"),
+    "subcod": ("T=2\nd=4\nn_min=2\nn_max=6\nspread=2.0\n", 20, "subcod.seed=1\n"),
+}
+
+# `miml eval` stdout of the per-bag implementation that preceded batch scoring
+_GOLDEN_EVAL = {
+    "mimlboost": (
+        'hloss  one-error  coverage  rloss  aveprec  averecl  aveF1\n'
+        '0.276  0.100      0.687     0.137  0.931    0.597    0.727\n'
+        'hloss=0.27555555555555555\n'
+        'one-error=0.1\n'
+        'coverage=0.6866666666666666\n'
+        'rloss=0.13666666666666666\n'
+        'aveprec=0.9305555555555556\n'
+        'averecl=0.5966666666666667\n'
+        'aveF1=0.7271128895355887\n'
+    ),
+    "mimlsvm": (
+        'hloss  one-error  coverage  rloss  aveprec  averecl  aveF1\n'
+        '0.301  0.193      2.133     0.224  0.840    0.696    0.761\n'
+        'hloss=0.30133333333333334\n'
+        'one-error=0.19333333333333333\n'
+        'coverage=2.1333333333333333\n'
+        'rloss=0.2241666666666667\n'
+        'aveprec=0.8401990740740739\n'
+        'averecl=0.6961111111111111\n'
+        'aveF1=0.7613982080548799\n'
+    ),
+    "dmimlsvm": (
+        'hloss  one-error  coverage  rloss  aveprec  averecl  aveF1\n'
+        '0.356  0.273      1.050     0.333  0.816    0.652    0.725\n'
+        'hloss=0.35555555555555557\n'
+        'one-error=0.2733333333333333\n'
+        'coverage=1.05\n'
+        'rloss=0.3333333333333333\n'
+        'aveprec=0.8161111111111127\n'
+        'averecl=0.6516666666666666\n'
+        'aveF1=0.7246770123643709\n'
+    ),
+    "insdif": (
+        'hloss  one-error  coverage  rloss  aveprec  averecl  aveF1\n'
+        '0.263  0.000      2.253     0.244  0.874    0.594    0.707\n'
+        'hloss=0.2633333333333333\n'
+        'one-error=0.0\n'
+        'coverage=2.2533333333333334\n'
+        'rloss=0.243611111111111\n'
+        'aveprec=0.8735185185185176\n'
+        'averecl=0.5944444444444447\n'
+        'aveF1=0.7074541300477971\n'
+    ),
+    "subcod": (
+        'hloss  one-error  coverage  rloss  aveprec  averecl  aveF1\n'
+        '0.163  0.163      0.163     0.163  0.918    0.837    0.876\n'
+        'hloss=0.16333333333333333\n'
+        'one-error=0.16333333333333333\n'
+        'coverage=0.16333333333333333\n'
+        'rloss=0.16333333333333333\n'
+        'aveprec=0.9183333333333333\n'
+        'averecl=0.8366666666666667\n'
+        'aveF1=0.8755998733776512\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("algo", sorted(_GOLDEN_EVAL))
+def test_eval_stdout_matches_golden(algo, tmp_path):
+    shape, m, config = _GOLDEN_SETUP[algo]
+    train = _synth(tmp_path, "train", shape + f"m={m}\nseed=3\n")
+    test = _synth(tmp_path, "test", shape + "m=300\nseed=4\n")
+    model = _train(tmp_path, algo, train, config)
+    code, text = _run(["eval", "--model", str(model), "--data", str(test)])
+    assert code == 0
+    assert text == _GOLDEN_EVAL[algo]
+
+
+@pytest.mark.parametrize("algo,config", [
+    ("mimlsvm", "mimlsvm.C=1.0\n"),
+    ("dmimlsvm", "dmiml.cccp_iters=2\n"),
+    ("mimlboost", "boost.rounds=2\n"),
+])
+def test_eval_label_count_mismatch_is_data_error(algo, config, tmp_path, capsys):
+    train = _synth(tmp_path, "t3", "T=3\nd=4\nm=12\nseed=1\n")
+    test = _synth(tmp_path, "t5", "T=5\nd=4\nm=20\nseed=2\n")
+    model = _train(tmp_path, algo, train, config)
+    code, _ = _run(["eval", "--model", str(model), "--data", str(test)])
+    assert code == 2
+    assert "expected T=5" in capsys.readouterr().err
+
+
+def _eval_model_text(tmp_path, model_text):
+    data = _synth(tmp_path, "data", "T=3\nd=4\nm=10\nseed=1\n")
+    model = tmp_path / "bad.model"
+    model.write_text(model_text)
+    return _run(["eval", "--model", str(model), "--data", str(data)])
+
+
+def test_model_body_without_hyper_is_data_error(tmp_path, capsys):
+    code, _ = _eval_model_text(tmp_path, 'miml-model/1 mimlsvm\n{"payload": {}}\n')
+    assert code == 2
+    assert "'hyper'" in capsys.readouterr().err
+
+
+def test_model_body_not_an_object_is_data_error(tmp_path, capsys):
+    code, _ = _eval_model_text(tmp_path, "miml-model/1 mimlsvm\n[1, 2]\n")
+    assert code == 2
+    assert "JSON object" in capsys.readouterr().err
+
+
+def test_model_payload_missing_field_is_data_error(tmp_path, capsys):
+    body = json.dumps({"hyper": {}, "payload": {"medoids": [], "T": 3, "k": 1}})
+    code, _ = _eval_model_text(tmp_path, "miml-model/1 mimlsvm\n" + body + "\n")
+    assert code == 2
+    assert "'svms'" in capsys.readouterr().err

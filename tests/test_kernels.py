@@ -109,9 +109,10 @@ def test_kernel_against_objects_matches_gram_columns(rng):
     ds = random_dataset(rng, m=3, T=2, d=2)
     spec = KernelSpec("rbf", 0.4)
     gm = build_gram(spec, ds)
-    for i, bag in enumerate(ds.bags()):
-        col = kernel_against_objects(spec, ds.bags(), bag)
-        assert np.allclose(col, gm.values[:, gm.index_bag(i)], atol=1e-12)
+    cols = kernel_against_objects(spec, ds.bags(), ds.bags())
+    assert cols.shape == (gm.size, ds.m)
+    for i in range(ds.m):
+        assert np.allclose(cols[:, i], gm.values[:, gm.index_bag(i)], atol=1e-12)
 
 
 def test_kernel_spec_validation():

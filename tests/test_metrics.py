@@ -137,7 +137,7 @@ def test_avgf1_values():
 
 def test_all_metrics_match_oracle(rng):
     for _ in range(200):
-        T = int(rng.integers(2, 7))
+        T = int(rng.integers(2, 13))
         p = int(rng.integers(1, 11))
         preds, truth = random_case(rng, T, p)
         rep = compute_report(preds, truth, T)
@@ -149,6 +149,28 @@ def test_all_metrics_match_oracle(rng):
         assert rep.avg_precision == pytest.approx(ap, abs=1e-12)
         assert rep.avg_recall == pytest.approx(ar, abs=1e-12)
         assert rep.avg_f1 == pytest.approx(average_f1(ap, ar), abs=1e-12)
+
+
+def test_report_equals_loop_values_t12_with_ties():
+    # T=12 puts labels 8..11 into truth sets, whose iteration order is then
+    # not ascending (e.g. {8, 1, 2, 3}); the expected values come from the
+    # per-example loop implementation.  On this case, summing an example's
+    # average-precision terms in ascending label order, or the examples by
+    # np.sum, changes the last bit of avg_precision.
+    rng = np.random.default_rng(35)
+    preds, truth = [], []
+    for _ in range(60):
+        scores = np.round(rng.normal(size=12) * 2.0) / 2.0   # many ties
+        predicted = frozenset(int(v) for v in rng.choice(
+            12, size=int(rng.integers(0, 13)), replace=False))
+        truth.append(frozenset(int(v) for v in rng.choice(
+            12, size=int(rng.integers(1, 12)), replace=False)))
+        preds.append(LabelScores(scores, predicted))
+    assert list(truth[4]) == [8, 1, 2, 3]
+    rep = compute_report(preds, truth, 12)
+    assert rep.values() == (
+        0.5, 0.5666666666666667, 9.65, 0.5838481040564376,
+        0.5558204292851207, 0.5417231842231842, 0.5486812717103098)
 
 
 def test_perfect_predictions(rng):

@@ -1,0 +1,49 @@
+"""Every learner's batch scorer against itself one bag at a time.
+
+``miml eval`` scores blocks of bags with one ``predict_many`` call each; a
+bag's scores and predicted set must not depend on which other bags share
+its block.  The queries are fresh random bags of mixed sizes, more than
+one eval block of them.
+"""
+
+import numpy as np
+import pytest
+
+from miml import bench, dmimlsvm, insdif, mimlboost, mimlsvm, subcod
+from miml.cli import EVAL_BLOCK
+from miml.core import Bag
+
+# learner: (synth shape, training m, fit, batch scorer)
+_CASES = {
+    "mimlboost": (dict(T=3, d=4, n_min=1, n_max=4), 12,
+                  lambda ds: mimlboost.fit(ds, mimlboost.BoostConfig(rounds=4, seed=1)),
+                  mimlboost.predict_many),
+    "mimlsvm": (dict(T=4, d=4, n_min=1, n_max=5), 30,
+                lambda ds: mimlsvm.fit(ds, mimlsvm.MimlSvmConfig(seed=1)),
+                mimlsvm.predict_many),
+    "dmimlsvm": (dict(T=3, d=4, n_min=1, n_max=4), 8,
+                 lambda ds: dmimlsvm.fit(ds, dmimlsvm.DMimlConfig(cccp_max_iters=3, seed=1)),
+                 dmimlsvm.predict_many),
+    "insdif": (dict(T=4, d=4, n_min=1, n_max=1, single_instance=True), 40,
+               lambda ds: insdif.fit(ds, insdif.InsDifConfig(seed=1)),
+               insdif.predict_many),
+    "subcod": (dict(T=2, d=4, n_min=2, n_max=6), 16,
+               lambda ds: subcod.fit(ds, subcod.SubCodConfig(seed=1)),
+               subcod.predict_many),
+}
+
+
+@pytest.mark.parametrize("algo", sorted(_CASES))
+def test_batch_matches_single_bag(algo, rng):
+    shape, m, fit, predict_many = _CASES[algo]
+    ds, _ = bench.generate(bench.SynthSpec(m=m, seed=3, spread=1.0, **shape))
+    model = fit(ds)
+    bags = [Bag(f"q{i}", 2.0 * rng.normal(size=(int(rng.integers(1, shape["n_max"] + 1)),
+                                                 shape["d"])))
+            for i in range(EVAL_BLOCK + 45)]
+    batch = predict_many(model, bags)
+    assert len(batch) == len(bags)
+    for bag, got in zip(bags, batch):
+        (one,) = predict_many(model, [bag])
+        assert got.predicted == one.predicted
+        assert np.allclose(got.scores, one.scores, rtol=0.0, atol=1e-12)
