@@ -1,8 +1,7 @@
-"""NumPy implementation of the pairwise squared-Hausdorff kernel.
+"""The pairwise squared-Hausdorff kernel.
 
-Same contract as the compiled version in ``_hausdorff_cy.pyx``: bags are
-passed as one stacked instance matrix plus an offsets vector (offsets[i] ..
-offsets[i+1] are the rows of bag i).
+Bags are passed as one stacked instance matrix plus an offsets vector
+(offsets[i] .. offsets[i+1] are the rows of bag i).
 """
 
 import numpy as np

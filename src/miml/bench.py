@@ -10,7 +10,7 @@ returned for recovery checks.
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -58,24 +58,6 @@ class SynthSpec:
             raise ValueError("bad instance-count range")
         if not (0 < self.label_prob < 1):
             raise ValueError("label_prob must be in (0, 1)")
-
-    @staticmethod
-    def from_mapping(cfg: Mapping[str, str]) -> "SynthSpec":
-        from .dataio import config_get
-        return SynthSpec(
-            T=config_get(cfg, "T", int, 3),
-            d=config_get(cfg, "d", int, 4),
-            m=config_get(cfg, "m", int, 60),
-            n_min=config_get(cfg, "n_min", int, 1),
-            n_max=config_get(cfg, "n_max", int, 4),
-            label_prob=config_get(cfg, "label_prob", float, 0.45),
-            spread=config_get(cfg, "spread", float, 0.3),
-            noise=config_get(cfg, "noise", float, 0.0),
-            separation=config_get(cfg, "separation", float, 3.0),
-            composite=config_get(cfg, "composite", bool, False),
-            single_instance=config_get(cfg, "single_instance", bool, False),
-            seed=config_get(cfg, "seed", int, 0),
-        )
 
 
 def label_means(spec: SynthSpec) -> np.ndarray:

@@ -8,8 +8,8 @@ Config keys by learner (flat key=value files):
               unset), mimlsvm.gamma, mimlsvm.seed
   dmimlsvm    dmiml.lambda (0.2), dmiml.mu (0.1), dmiml.gamma (100),
               dmiml.eps (1e-4), dmiml.p (59), dmiml.cccp_iters (20),
-              dmiml.imbalance (false), dmiml.seed, dmiml.kernel (rbf|linear),
-              dmiml.kernel_gamma
+              dmiml.cccp_tol (1e-6), dmiml.imbalance (false), dmiml.seed,
+              dmiml.kernel (rbf|linear), dmiml.kernel_gamma
   insdif      insdif.m_fraction (0.2), insdif.M, insdif.seed,
               insdif.fallback (false)
   subcod      subcod.M, subcod.theta, subcod.C (1.0), subcod.seed,
@@ -18,8 +18,12 @@ Config keys by learner (flat key=value files):
 eval scores the test file in blocks of 256 bags: each learner's batch scorer
 runs once per block, so memory stays bounded by the block.
 
+A key under the learner's own prefix that names no setting, or a key with
+no learner prefix, is a data error; keys under another learner's prefix are
+ignored, so one file can configure several learners.  The synth spec keys
+are the fields of bench.SynthSpec, and an unknown one is a data error too.
+
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
-The MIML_THREADS environment variable caps worker threads.
 """
 
 import argparse
@@ -42,36 +46,48 @@ EVAL_BLOCK = 256
 @dataclass(frozen=True)
 class LearnerEntry:
     config_cls: type
-    seed_key: str
+    prefix: str             # config keys are <prefix>.<field>
     fit: Callable
     predict: Callable       # batch scorer: (model, bags) -> [LabelScores]
     to_payload: Callable
     from_payload: Callable
 
+    @property
+    def seed_key(self) -> str:
+        return f"{self.prefix}.seed"
+
+    def config(self, cfg_map: Dict[str, str]):
+        """The learner's config from flat keys; keys under another learner's
+        prefix are skipped, any other unknown key is a ValueError."""
+        others = {e.prefix for e in REGISTRY.values()} - {self.prefix}
+        return dataio.config_dataclass(self.config_cls, cfg_map, self.prefix, others)
+
 
 REGISTRY: Dict[str, LearnerEntry] = {
     "mimlboost": LearnerEntry(
-        mimlboost.BoostConfig, "boost.seed", mimlboost.fit, mimlboost.predict_many,
-        lambda m: m.to_payload(), mimlboost.BoostModel.from_payload),
+        mimlboost.BoostConfig, "boost", mimlboost.fit, mimlboost.predict_many,
+        mimlboost.BoostModel.to_payload, mimlboost.BoostModel.from_payload),
     "mimlsvm": LearnerEntry(
-        mimlsvm.MimlSvmConfig, "mimlsvm.seed", mimlsvm.fit, mimlsvm.predict_many,
-        lambda m: m.to_payload(), mimlsvm.MimlSvmModel.from_payload),
+        mimlsvm.MimlSvmConfig, "mimlsvm", mimlsvm.fit, mimlsvm.predict_many,
+        mimlsvm.MimlSvmModel.to_payload, mimlsvm.MimlSvmModel.from_payload),
     "dmimlsvm": LearnerEntry(
-        dmimlsvm.DMimlConfig, "dmiml.seed", dmimlsvm.fit, dmimlsvm.predict_many,
-        lambda m: m.to_payload(), dmimlsvm.DMimlSvmModel.from_payload),
+        dmimlsvm.DMimlConfig, "dmiml", dmimlsvm.fit, dmimlsvm.predict_many,
+        dmimlsvm.DMimlSvmModel.to_payload, dmimlsvm.DMimlSvmModel.from_payload),
     "insdif": LearnerEntry(
-        insdif.InsDifConfig, "insdif.seed", insdif.fit, insdif.predict_many,
-        lambda m: m.to_payload(), insdif.InsDifModel.from_payload),
+        insdif.InsDifConfig, "insdif", insdif.fit, insdif.predict_many,
+        insdif.InsDifModel.to_payload, insdif.InsDifModel.from_payload),
     "subcod": LearnerEntry(
-        subcod.SubCodConfig, "subcod.seed", subcod.fit, subcod.predict_many,
-        lambda m: m.to_payload(), subcod.SubCodModel.from_payload),
+        subcod.SubCodConfig, "subcod", subcod.fit, subcod.predict_many,
+        subcod.SubCodModel.to_payload, subcod.SubCodModel.from_payload),
 }
 
 
 def fit_with_config(algo: str, ds: MimlDataset, cfg_map: Dict[str, str]):
+    """Fit ``algo`` under the config parsed from ``cfg_map``; returns
+    (model, config)."""
     entry = REGISTRY[algo]
-    cfg = entry.config_cls.from_mapping(cfg_map)
-    return entry.fit(ds, cfg)
+    cfg = entry.config(cfg_map)
+    return entry.fit(ds, cfg), cfg
 
 
 def make_fit_predict(algo: str, cfg_map: Dict[str, str]):
@@ -81,7 +97,7 @@ def make_fit_predict(algo: str, cfg_map: Dict[str, str]):
     def fit_predict(train_ds, run_seed):
         local = dict(cfg_map)
         local.setdefault(entry.seed_key, str(run_seed))
-        model = fit_with_config(algo, train_ds, local)
+        model, _ = fit_with_config(algo, train_ds, local)
         return lambda bag: entry.predict(model, [bag])[0]
 
     return fit_predict
@@ -146,7 +162,7 @@ def _print_report_table(report: metrics.MetricReport, out):
 
 
 def _cmd_synth(args, out) -> int:
-    spec = bench.SynthSpec.from_mapping(dataio.parse_config(_read(args.spec)))
+    spec = dataio.config_dataclass(bench.SynthSpec, dataio.parse_config(_read(args.spec)))
     ds, _ = bench.generate(spec)
     text = dataio.serialize_dataset(ds)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
@@ -158,13 +174,11 @@ def _cmd_synth(args, out) -> int:
 def _cmd_train(args, out) -> int:
     ds = dataio.parse_dataset(_read(args.data))
     cfg_map = _load_config(args.config)
-    model = fit_with_config(args.algo, ds, cfg_map)
-    entry = REGISTRY[args.algo]
-    cfg = entry.config_cls.from_mapping(cfg_map)
+    model, cfg = fit_with_config(args.algo, ds, cfg_map)
     env = dataio.ModelEnvelope(
         algorithm=args.algo,
         hyper=dataclasses.asdict(cfg),
-        payload=entry.to_payload(model),
+        payload=REGISTRY[args.algo].to_payload(model),
     )
     with open(args.model, "w", encoding="utf-8", newline="") as fh:
         fh.write(dataio.serialize_model(env))

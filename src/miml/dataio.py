@@ -13,9 +13,11 @@ Models travel in a one-line envelope header "miml-model/1 <algo>" followed
 by a canonical JSON body.  Config files are flat key=value text.
 """
 
+import dataclasses
 import json
+import typing
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Collection, Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -187,16 +189,44 @@ def parse_config(text: str) -> Dict[str, str]:
     return out
 
 
-def config_get(cfg: Mapping[str, str], key: str, cast, default):
-    """Typed lookup with a default; bools accept 1/0/true/false/yes/no."""
-    if cfg is None or key not in cfg:
-        return default
-    raw = str(cfg[key]).strip()
-    if cast is bool:
+def _parse_value(key: str, raw: str, hint):
+    """One config value cast to ``hint``: int, float, str, bool, or
+    Optional of one of these; bools accept 1/0/true/false/yes/no/on/off."""
+    if typing.get_origin(hint) is typing.Union:    # Optional[X] is Union[X, None]
+        hint = typing.get_args(hint)[0]
+    raw = raw.strip()
+    if hint is bool:
         lowered = raw.lower()
         if lowered in ("1", "true", "yes", "on"):
             return True
         if lowered in ("0", "false", "no", "off"):
             return False
         raise ValueError(f"config key {key}: expected a boolean, got {raw!r}")
-    return cast(raw)
+    try:
+        return hint(raw)
+    except ValueError:
+        raise ValueError(
+            f"config key {key}: expected {hint.__name__}, got {raw!r}") from None
+
+
+def config_dataclass(cls, cfg: Mapping[str, str], prefix: str = "",
+                     ignore: Collection[str] = ()):
+    """Build the dataclass ``cls`` from flat key=value strings.
+
+    Each field is read from the key ``<prefix>.<name>`` (just ``<name>``
+    with no prefix), where ``name`` is the field's ``metadata["key"]`` or
+    else its own name, and cast by its type hint.  Keys under a prefix in
+    ``ignore`` are skipped; any other key that names no field is a
+    ValueError.
+    """
+    lead = prefix + "." if prefix else ""
+    by_key = {lead + f.metadata.get("key", f.name): f for f in dataclasses.fields(cls)}
+    hints = typing.get_type_hints(cls)
+    values = {}
+    for key, raw in cfg.items():
+        f = by_key.get(key)
+        if f is not None:
+            values[f.name] = _parse_value(key, raw, hints[f.name])
+        elif "." not in key or key.partition(".")[0] not in ignore:
+            raise ValueError(f"unknown config key {key!r}")
+    return cls(**values)

@@ -17,12 +17,11 @@ before returning, and slacks are lifted to exact feasibility.
 """
 
 from dataclasses import dataclass, field
-from typing import List, Mapping, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .core import Bag, MimlDataset, psi, require_valid
-from .dataio import config_get
 from .kernels import GramMatrix, KernelSpec, build_gram, kernel_against_objects
 from .metrics import LabelScores
 from .solvers import QpProblem, solve_qp
@@ -30,33 +29,17 @@ from .solvers import QpProblem, solve_qp
 
 @dataclass(frozen=True)
 class DMimlConfig:
-    lam: float = 0.2            # bag/instance loss balance (lambda)
+    lam: float = field(default=0.2, metadata={"key": "lambda"})  # bag/instance loss balance
     mu: float = 0.1             # label commonness weight
     gamma: float = 100.0        # empirical-risk weight
     eps: float = 1e-4           # cutting-plane stopping threshold
     p: int = 59                 # sampled constraints per pick
-    cccp_max_iters: int = 20
+    cccp_max_iters: int = field(default=20, metadata={"key": "cccp_iters"})
     cccp_tol: float = 1e-6
-    use_imbalance: bool = False
+    use_imbalance: bool = field(default=False, metadata={"key": "imbalance"})
     seed: int = 0
-    kernel_kind: str = "rbf"
+    kernel_kind: str = field(default="rbf", metadata={"key": "kernel"})
     kernel_gamma: Optional[float] = None
-
-    @staticmethod
-    def from_mapping(cfg: Mapping[str, str]) -> "DMimlConfig":
-        return DMimlConfig(
-            lam=config_get(cfg, "dmiml.lambda", float, 0.2),
-            mu=config_get(cfg, "dmiml.mu", float, 0.1),
-            gamma=config_get(cfg, "dmiml.gamma", float, 100.0),
-            eps=config_get(cfg, "dmiml.eps", float, 1e-4),
-            p=config_get(cfg, "dmiml.p", int, 59),
-            cccp_max_iters=config_get(cfg, "dmiml.cccp_iters", int, 20),
-            cccp_tol=config_get(cfg, "dmiml.cccp_tol", float, 1e-6),
-            use_imbalance=config_get(cfg, "dmiml.imbalance", bool, False),
-            seed=config_get(cfg, "dmiml.seed", int, 0),
-            kernel_kind=config_get(cfg, "dmiml.kernel", str, "rbf"),
-            kernel_gamma=config_get(cfg, "dmiml.kernel_gamma", float, None),
-        )
 
 
 @dataclass(eq=False)

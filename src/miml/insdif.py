@@ -9,13 +9,12 @@ SVD least squares.
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Mapping, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .bagdist import k_medoids_from_dists, pairwise_hausdorff
 from .core import Bag, MimlDataset, require_valid
-from .dataio import config_get
 from .metrics import LabelScores
 from .mimlsvm import tcriterion
 from .solvers import lstsq_svd
@@ -27,15 +26,6 @@ class InsDifConfig:
     M: Optional[int] = None       # absolute override of m_fraction
     seed: int = 0
     fallback: bool = False        # T-criterion fallback for empty predictions
-
-    @staticmethod
-    def from_mapping(cfg: Mapping[str, str]) -> "InsDifConfig":
-        return InsDifConfig(
-            m_fraction=config_get(cfg, "insdif.m_fraction", float, 0.2),
-            M=config_get(cfg, "insdif.M", int, None),
-            seed=config_get(cfg, "insdif.seed", int, 0),
-            fallback=config_get(cfg, "insdif.fallback", bool, False),
-        )
 
 
 @dataclass(eq=False)

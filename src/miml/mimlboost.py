@@ -9,13 +9,12 @@ exponential loss on [0, c_cap].
 """
 
 from dataclasses import dataclass, field
-from typing import List, Mapping, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .bagdist import stack_bags
 from .core import Bag, MimlDataset, psi, require_valid
-from .dataio import config_get
 from .kernels import KernelSpec
 from .metrics import LabelScores
 from .solvers import SvmDecision, WeightedBinaryProblem, minimize_1d_convex, train_weighted_svm
@@ -41,18 +40,6 @@ class BoostConfig:
     stop_rule: str = "text"      # text: stop when every e >= 0.5
                                  # table: stop when every e < 0.5 (literal)
     seed: int = 0
-
-    @staticmethod
-    def from_mapping(cfg: Mapping[str, str]) -> "BoostConfig":
-        return BoostConfig(
-            rounds=config_get(cfg, "boost.rounds", int, 25),
-            c_cap=config_get(cfg, "boost.c_cap", float, 10.0),
-            base=config_get(cfg, "boost.base", str, "svm"),
-            C=config_get(cfg, "boost.C", float, 1.0),
-            gamma=config_get(cfg, "boost.gamma", float, None),
-            stop_rule=config_get(cfg, "boost.stop_rule", str, "text"),
-            seed=config_get(cfg, "boost.seed", int, 0),
-        )
 
 
 @dataclass(eq=False)

@@ -10,16 +10,14 @@ never empty.
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Mapping, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .bagdist import k_medoids_from_dists, pairwise_hausdorff
 from .core import Bag, MimlDataset, psi, require_valid
-from .dataio import config_get
 from .kernels import KernelSpec
 from .metrics import LabelScores
-from .parallel import parallel_map
 from .solvers import SvmDecision, WeightedBinaryProblem, train_weighted_svm
 
 _C_GRID = (0.1, 1.0, 10.0)
@@ -32,16 +30,6 @@ class MimlSvmConfig:
     C: Optional[float] = None        # None: hold-out selection over _C_GRID
     gamma: Optional[float] = None    # None: 1/k on the distance vectors
     seed: int = 0
-
-    @staticmethod
-    def from_mapping(cfg: Mapping[str, str]) -> "MimlSvmConfig":
-        return MimlSvmConfig(
-            k_fraction=config_get(cfg, "mimlsvm.k_fraction", float, 0.2),
-            k=config_get(cfg, "mimlsvm.k", int, None),
-            C=config_get(cfg, "mimlsvm.C", float, None),
-            gamma=config_get(cfg, "mimlsvm.gamma", float, None),
-            seed=config_get(cfg, "mimlsvm.seed", int, 0),
-        )
 
 
 @dataclass(eq=False)
@@ -75,13 +63,6 @@ class MimlSvmModel:
         return self.to_payload() == other.to_payload()
 
 
-def bag_to_vector(medoids: Sequence[Bag], bag: Bag) -> np.ndarray:
-    """Hausdorff distances from the bag to every medoid."""
-    if len(medoids) == 0:
-        raise ValueError("no medoids")
-    return pairwise_hausdorff([bag], medoids)[0]
-
-
 def resolve_k(cfg: MimlSvmConfig, m: int) -> int:
     k = cfg.k if cfg.k is not None else math.ceil(cfg.k_fraction * m)
     if not (1 <= k <= m):
@@ -94,12 +75,12 @@ def _train_label_svms(Z: np.ndarray, label_sets, T: int, C: float,
     m, k = Z.shape
     spec = KernelSpec("rbf", gamma if gamma is not None else 1.0 / k)
 
-    def train_one(t):
+    svms = []
+    for t in range(T):
         y = np.array([float(psi(labels, t, T)) for labels in label_sets])
         prob = WeightedBinaryProblem(X=Z, y=y, weights=np.ones(m), C=C)
-        return train_weighted_svm(prob, spec)
-
-    return tuple(parallel_map(train_one, range(T)))
+        svms.append(train_weighted_svm(prob, spec))
+    return tuple(svms)
 
 
 def tcriterion(scores: np.ndarray) -> frozenset:

@@ -10,12 +10,11 @@ linear mapper turns pseudo-label vectors back into the original class.
 """
 
 from dataclasses import dataclass, field
-from typing import List, Mapping, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .core import Bag, MimlDataset, require_valid
-from .dataio import config_get
 from .kernels import KernelSpec
 from .metrics import LabelScores
 from .mimlsvm import MimlSvmConfig, MimlSvmModel
@@ -34,21 +33,8 @@ class SubCodConfig:
     seed: int = 0
     inner_k: Optional[int] = None    # clusters of the inner MimlSvm
     inner_C: float = 1.0
-    em_max_iters: int = 100
+    em_max_iters: int = field(default=100, metadata={"key": "em_iters"})
     em_tol: float = 1e-7
-
-    @staticmethod
-    def from_mapping(cfg: Mapping[str, str]) -> "SubCodConfig":
-        return SubCodConfig(
-            M=config_get(cfg, "subcod.M", int, None),
-            theta=config_get(cfg, "subcod.theta", int, None),
-            C=config_get(cfg, "subcod.C", float, 1.0),
-            seed=config_get(cfg, "subcod.seed", int, 0),
-            inner_k=config_get(cfg, "subcod.inner_k", int, None),
-            inner_C=config_get(cfg, "subcod.inner_C", float, 1.0),
-            em_max_iters=config_get(cfg, "subcod.em_iters", int, 100),
-            em_tol=config_get(cfg, "subcod.em_tol", float, 1e-7),
-        )
 
 
 # ------------------------------------------------------------------ GMM

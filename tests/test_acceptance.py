@@ -290,7 +290,7 @@ def test_criterion_9_persistence(tmp_path):
                "insdif": {}, "subcod": {"subcod.M": "2"}}
     model_ok = True
     for algo, entry in REGISTRY.items():
-        model = fit_with_config(algo, datasets[algo], configs[algo])
+        model, _ = fit_with_config(algo, datasets[algo], configs[algo])
         env = dataio.ModelEnvelope(algorithm=algo, hyper={},
                                    payload=entry.to_payload(model))
         t1 = dataio.serialize_model(env)

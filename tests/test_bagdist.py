@@ -3,14 +3,12 @@ import itertools
 import numpy as np
 import pytest
 
-from miml._dist import HAVE_EXT, pairwise_sq_hausdorff_np
 from miml.bagdist import (
     Clustering,
     hausdorff,
     k_medoids,
     medoid_of,
     pairwise_hausdorff,
-    stack_bags,
 )
 from miml.core import Bag
 
@@ -63,15 +61,17 @@ def test_metric_properties(rng):
     assert hausdorff(p, q) == 0.0
 
 
-def test_compiled_and_numpy_paths_agree(rng):
+def test_pairwise_forms_match_enumeration_oracle(rng):
     bags = [random_bag(rng, 3, n_max=5, ident=f"b{i}") for i in range(8)]
-    X, off = stack_bags(bags)
-    via_selected = pairwise_hausdorff(bags)
-    via_np = np.sqrt(pairwise_sq_hausdorff_np(X, off, X, off))
-    # the two paths use different squared-distance expansions, so agreement
-    # is limited by cancellation, not representation
-    assert np.allclose(via_selected, via_np, atol=1e-7)
-    assert HAVE_EXT or True  # fallback-only environments are fine
+    others = [random_bag(rng, 3, n_max=5, ident=f"c{j}") for j in range(5)]
+    square = pairwise_hausdorff(bags)
+    cross = pairwise_hausdorff(bags, others)
+    assert square.shape == (8, 8) and cross.shape == (8, 5)
+    for i, a in enumerate(bags):
+        for j, b in enumerate(bags):
+            assert square[i, j] == pytest.approx(oracle_hausdorff(a, b), abs=1e-12)
+        for j, b in enumerate(others):
+            assert cross[i, j] == pytest.approx(oracle_hausdorff(a, b), abs=1e-12)
 
 
 def test_medoid_of():

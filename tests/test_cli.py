@@ -1,11 +1,12 @@
+import dataclasses
 import io
 import json
 
 import numpy as np
 import pytest
 
-from miml import dataio
-from miml.cli import run
+from miml import bench, dataio, dmimlsvm, insdif, mimlboost, mimlsvm, subcod
+from miml.cli import REGISTRY, run
 from miml.core import Bag, MimlDataset
 
 
@@ -252,3 +253,97 @@ def test_model_payload_missing_field_is_data_error(tmp_path, capsys):
     code, _ = _eval_model_text(tmp_path, "miml-model/1 mimlsvm\n" + body + "\n")
     assert code == 2
     assert "'svms'" in capsys.readouterr().err
+
+
+# every documented key at a non-default value, and the config the per-learner
+# hand-written parsers built from it
+_ALL_KEYS = {
+    "mimlboost": (
+        "boost.rounds=7\nboost.c_cap=3.5\nboost.base=stump\nboost.C=2.5\n"
+        "boost.gamma=0.25\nboost.stop_rule=table\nboost.seed=9\n",
+        mimlboost.BoostConfig(rounds=7, c_cap=3.5, base="stump", C=2.5, gamma=0.25,
+                              stop_rule="table", seed=9)),
+    "mimlsvm": (
+        "mimlsvm.k_fraction=0.5\nmimlsvm.k=4\nmimlsvm.C=10\nmimlsvm.gamma=0.125\n"
+        "mimlsvm.seed=3\n",
+        mimlsvm.MimlSvmConfig(k_fraction=0.5, k=4, C=10.0, gamma=0.125, seed=3)),
+    "dmimlsvm": (
+        "dmiml.lambda=0.7\ndmiml.mu=0.3\ndmiml.gamma=5\ndmiml.eps=1e-3\ndmiml.p=11\n"
+        "dmiml.cccp_iters=4\ndmiml.cccp_tol=1e-4\ndmiml.imbalance=yes\ndmiml.seed=2\n"
+        "dmiml.kernel=linear\ndmiml.kernel_gamma=0.5\n",
+        dmimlsvm.DMimlConfig(lam=0.7, mu=0.3, gamma=5.0, eps=1e-3, p=11,
+                             cccp_max_iters=4, cccp_tol=1e-4, use_imbalance=True,
+                             seed=2, kernel_kind="linear", kernel_gamma=0.5)),
+    "insdif": (
+        "insdif.m_fraction=0.4\ninsdif.M=6\ninsdif.seed=8\ninsdif.fallback=1\n",
+        insdif.InsDifConfig(m_fraction=0.4, M=6, seed=8, fallback=True)),
+    "subcod": (
+        "subcod.M=3\nsubcod.theta=5\nsubcod.C=0.5\nsubcod.seed=4\nsubcod.inner_k=2\n"
+        "subcod.inner_C=3\nsubcod.em_iters=50\nsubcod.em_tol=1e-5\n",
+        subcod.SubCodConfig(M=3, theta=5, C=0.5, seed=4, inner_k=2, inner_C=3.0,
+                            em_max_iters=50, em_tol=1e-5)),
+}
+
+
+def _all_fields_differ_from_defaults(cfg):
+    return all(getattr(cfg, f.name) != f.default for f in dataclasses.fields(cfg))
+
+
+@pytest.mark.parametrize("algo", sorted(_ALL_KEYS))
+def test_every_documented_key_parses(algo):
+    text, expected = _ALL_KEYS[algo]
+    assert _all_fields_differ_from_defaults(expected)
+    cfg = REGISTRY[algo].config(dataio.parse_config(text))
+    assert cfg == expected
+    assert dataclasses.asdict(cfg) == dataclasses.asdict(expected)
+
+
+def test_every_synth_key_parses():
+    text = ("T=4\nd=2\nm=10\nn_min=2\nn_max=5\nlabel_prob=0.3\nspread=0.5\n"
+            "noise=0.1\nseparation=2.5\ncomposite=true\nsingle_instance=on\nseed=6\n")
+    expected = bench.SynthSpec(T=4, d=2, m=10, n_min=2, n_max=5, label_prob=0.3,
+                               spread=0.5, noise=0.1, separation=2.5, composite=True,
+                               single_instance=True, seed=6)
+    assert _all_fields_differ_from_defaults(expected)
+    assert dataio.config_dataclass(bench.SynthSpec, dataio.parse_config(text)) == expected
+
+
+def test_config_keys_of_other_learners_are_ignored():
+    cfg = REGISTRY["mimlsvm"].config({"mimlsvm.C": "2", "boost.rounds": "x",
+                                      "dmiml.nonsense": "1"})
+    assert cfg == mimlsvm.MimlSvmConfig(C=2.0)
+
+
+@pytest.mark.parametrize("cfg_map,message", [
+    ({"mimlsvm.kk": "5"}, "mimlsvm.kk"),
+    ({"k": "5"}, "'k'"),
+    ({"mimlsv.k": "5"}, "mimlsv.k"),
+    ({"mimlsvm.k": "five"}, "mimlsvm.k"),
+    ({"mimlsvm.k": "2.0"}, "mimlsvm.k"),
+])
+def test_bad_config_key_or_value_is_value_error(cfg_map, message):
+    with pytest.raises(ValueError, match=message):
+        REGISTRY["mimlsvm"].config(cfg_map)
+
+
+def test_unknown_learner_key_is_data_error(workdir, capsys):
+    data = workdir / "data.miml"
+    _run(["synth", "--spec", str(workdir / "spec.cfg"), "--out", str(data)])
+    cfg = workdir / "cfg"
+    cfg.write_text("mimlsvm.C=1.0\nmimlsvm.kk=5\n")
+    model = workdir / "m.model"
+    code, _ = _run(["train", "--algo", "mimlsvm", "--data", str(data),
+                    "--model", str(model), "--config", str(cfg)])
+    assert code == 2
+    assert "mimlsvm.kk" in capsys.readouterr().err
+    assert not model.exists()
+
+
+def test_unknown_synth_key_is_data_error(tmp_path, capsys):
+    spec = tmp_path / "spec.cfg"
+    spec.write_text("T=3\nd=4\nm=12\nn_mx=3\n")
+    out = tmp_path / "data.miml"
+    code, _ = _run(["synth", "--spec", str(spec), "--out", str(out)])
+    assert code == 2
+    assert "n_mx" in capsys.readouterr().err
+    assert not out.exists()

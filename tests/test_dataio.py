@@ -110,7 +110,7 @@ def test_all_five_learner_payloads_roundtrip(rng):
         "subcod": {"subcod.M": "2", "subcod.inner_C": "1.0"},
     }
     for algo, entry in REGISTRY.items():
-        model = fit_with_config(algo, datasets[algo], configs[algo])
+        model, _ = fit_with_config(algo, datasets[algo], configs[algo])
         env = ModelEnvelope(algorithm=algo, hyper={}, payload=entry.to_payload(model))
         text = serialize_model(env)
         back = parse_model(text)

@@ -1,24 +1,24 @@
 import numpy as np
 import pytest
 
-from miml.bagdist import hausdorff
+from miml.bagdist import hausdorff, pairwise_hausdorff
 from miml.bench import SynthSpec, generate
 from miml.core import Bag
 from miml.metrics import compute_report
-from miml.mimlsvm import MimlSvmConfig, bag_to_vector, fit, predict, tcriterion
+from miml.mimlsvm import MimlSvmConfig, fit, predict, tcriterion
 
 from conftest import random_bag, random_dataset
 
 
-def test_bag_to_vector_against_per_medoid_oracle(rng):
+def test_medoid_distances_against_per_medoid_oracle(rng):
     medoids = [random_bag(rng, 2, ident=f"m{i}") for i in range(4)]
     bag = random_bag(rng, 2, ident="q")
-    z = bag_to_vector(medoids, bag)
+    z = pairwise_hausdorff([bag], medoids)[0]
     assert z.shape == (4,)
     assert np.all(z >= 0)
     for t in range(4):
         assert z[t] == pytest.approx(hausdorff(bag, medoids[t]), abs=1e-12)
-    assert bag_to_vector([bag], bag)[0] == 0.0
+    assert pairwise_hausdorff([bag], [bag])[0, 0] == 0.0
 
 
 def test_tcriterion_rules():
@@ -75,11 +75,3 @@ def test_k_out_of_range(rng):
     ds = random_dataset(rng, m=4, T=2, d=2)
     with pytest.raises(ValueError):
         fit(ds, MimlSvmConfig(k=9))
-
-
-def test_thread_cap_does_not_change_results(rng, monkeypatch):
-    ds = random_dataset(rng, m=8, T=3, d=2)
-    base = fit(ds, MimlSvmConfig(C=1.0, seed=1))
-    monkeypatch.setenv("MIML_THREADS", "3")
-    threaded = fit(ds, MimlSvmConfig(C=1.0, seed=1))
-    assert base == threaded
