@@ -9,7 +9,7 @@ returned for recovery checks.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable, List, Sequence, Tuple
 
 import numpy as np

@@ -32,8 +32,6 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Dict
 
-import numpy as np
-
 from . import bench, dataio, dmimlsvm, insdif, metrics, mimlboost, mimlsvm, subcod
 from .core import MimlDataset
 from .solvers import SolverError

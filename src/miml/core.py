@@ -6,8 +6,8 @@ lives in :mod:`miml.dataio`.  All types here are immutable after construction
 and safe to share across threads.
 """
 
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -15,14 +15,6 @@ import numpy as np
 Instance = np.ndarray
 
 LabelSet = frozenset
-
-
-def as_label_set(labels: Iterable[int]) -> frozenset:
-    """Normalize an iterable of label indices into a frozenset of ints."""
-    out = frozenset(int(y) for y in labels)
-    if any(y < 0 for y in out):
-        raise ValueError("label indices must be non-negative")
-    return out
 
 
 @dataclass(frozen=True, eq=False)

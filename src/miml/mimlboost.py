@@ -13,6 +13,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from . import kernels
 from .bagdist import stack_bags
 from .core import Bag, MimlDataset, psi, require_valid
 from .kernels import KernelSpec
@@ -154,7 +155,7 @@ def train_stump(X: np.ndarray, y: np.ndarray, w: np.ndarray) -> Stump:
     return Stump(feature=f, threshold=float(thr), polarity=pol)
 
 
-def _train_weak(cfg: BoostConfig, X, y, w):
+def _train_weak(cfg: BoostConfig, X, y, w, gram):
     if cfg.base == "stump":
         return train_stump(X, y, w)
     if cfg.base == "svm":
@@ -165,7 +166,7 @@ def _train_weak(cfg: BoostConfig, X, y, w):
         prob = WeightedBinaryProblem(X=X, y=y, weights=w_scaled, C=cfg.C)
         # a weak learner only needs the right side of 0.5, not a tight dual
         return SvmWeak(train_weighted_svm(prob, spec, tol=1e-3,
-                                          max_iter=40 * X.shape[0]))
+                                          max_iter=40 * X.shape[0], gram=gram))
     raise ValueError(f"unknown base learner {cfg.base!r}")
 
 
@@ -184,14 +185,18 @@ def fit(ds: MimlDataset, cfg: BoostConfig = BoostConfig()) -> BoostModel:
     sizes = np.array([b.feats.shape[0] for b in mil])
     offsets = np.concatenate(([0], np.cumsum(sizes)))
     y = np.concatenate([np.full(n, float(b.sign)) for b, n in zip(mil, sizes)])
-    signs = np.array([b.sign for b in mil], dtype=np.float64)
+
+    # every round trains on the same X, so its SVM Gram is built once
+    # (called through the module, where the benchmark's trace counts it)
+    gram = (kernels.instance_gram(KernelSpec("rbf", cfg.gamma), X)
+            if cfg.base == "svm" else None)
 
     W = np.full(nbags, 1.0 / nbags)
     rounds = []
     trace = []
     for _ in range(cfg.rounds):
         w_inst = np.repeat(W / sizes, sizes)
-        weak = _train_weak(cfg, X, y, w_inst)
+        weak = _train_weak(cfg, X, y, w_inst, gram)
         preds = weak.predict_sign(X)
         mistakes = (preds != y).astype(np.float64)
         e = np.add.reduceat(mistakes, offsets[:-1]) / sizes

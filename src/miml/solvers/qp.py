@@ -12,7 +12,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import InfeasibleError, NumericalError, UnboundedError
+from .errors import NumericalError, UnboundedError
 from .lp import LpProblem, solve_lp
 
 _FEAS_TOL = 1e-8

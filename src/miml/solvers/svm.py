@@ -1,17 +1,25 @@
 """Weighted soft-margin kernel SVM trained by SMO-style pairwise ascent.
 
 The dual box of example i is [0, C * weight_i]; zero-weight examples are
-inert.  Working pairs are chosen by maximal KKT violation and the solve
-stops when the violation gap drops below tol.
+inert.  Working pairs are chosen by maximal KKT violation (the first-order
+rule of Fan, Chen & Lin, JMLR 2005; the first maximizer wins a tie) and the
+solve stops when the violation gap drops below tol.
+
+The loop keeps its state incrementally, as LIBSVM does: -y * gradient is
+updated in place from two rows of K, and the up/low index sets, their
+penalty arrays and their sizes change only at the two updated examples.
+For a symmetric K (instance_gram symmetrizes exactly) this picks the same
+pair and produces bit-identical iterates, bias and iteration count as
+rebuilding the sets and the gradient from scratch each iteration, which
+tests/test_solvers.py keeps as the reference.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from ..kernels import KernelSpec, instance_gram
-from .errors import NumericalError
 
 
 @dataclass(eq=False)
@@ -68,56 +76,89 @@ def smo_solve(K: np.ndarray, y: np.ndarray, box: np.ndarray,
               tol: float = 1e-6, max_iter: Optional[int] = None):
     """Minimize 1/2 a'(yy' * K)a - 1'a  s.t.  y'a = 0, 0 <= a <= box.
 
-    Returns (alpha, bias, iterations).
+    K must be symmetric: the gradient update reads rows of K.
+    Returns (alpha, bias, iterations); max_iter=0 returns the start.
     """
     y = np.asarray(y, dtype=np.float64)
     box = np.asarray(box, dtype=np.float64)
     N = y.size
-    alpha = np.zeros(N)
-    grad = -np.ones(N)
     if max_iter is None:
         max_iter = max(5000, 300 * N)
+    # -y * gradient; y is +-1, so updating it directly rounds exactly as
+    # updating the gradient and negating would
+    gmax = y.copy()
+    # scalar state lives in Python lists: the loop touches two entries
+    alpha = [0.0] * N
+    pos = (y > 0).tolist()
+    cap = box.tolist()
+    hi = (box - 1e-14).tolist()
+    # at alpha = 0, alpha < box - 1e-14 exactly when box > 1e-14
+    live = box > 1e-14
+    up = ((y > 0) & live).tolist()
+    low = ((y < 0) & live).tolist()
+    n_up, n_low = sum(up), sum(low)
+    # 0 inside a set, -inf / +inf outside: the argmax / argmin of gmax plus
+    # the penalty is the first extreme index inside the set
+    pen_up = np.where(up, 0.0, -np.inf)
+    pen_low = np.where(low, 0.0, np.inf)
+    buf = np.empty(N)
 
-    for it in range(max_iter):
-        gmax = -y * grad
-        up = ((y > 0) & (alpha < box - 1e-14)) | ((y < 0) & (alpha > 1e-14))
-        low = ((y > 0) & (alpha > 1e-14)) | ((y < 0) & (alpha < box - 1e-14))
-        if not up.any() or not low.any():
+    iterations = 0
+    for iterations in range(1, max_iter + 1):
+        if not n_up or not n_low:
             break
-        i = int(np.flatnonzero(up)[np.argmax(gmax[up])])
-        j = int(np.flatnonzero(low)[np.argmin(gmax[low])])
-        m_val, M_val = gmax[i], gmax[j]
+        np.add(gmax, pen_up, out=buf)
+        i = int(buf.argmax())
+        np.add(gmax, pen_low, out=buf)
+        j = int(buf.argmin())
+        m_val, M_val = gmax.item(i), gmax.item(j)
         if m_val - M_val < tol:
             break
-        eta = K[i, i] + K[j, j] - 2.0 * K[i, j]
+        Ki, Kj = K[i], K[j]
+        eta = Ki.item(i) + Kj.item(j) - 2.0 * Ki.item(j)
         t_star = (m_val - M_val) / eta if eta > 1e-12 else np.inf
-        t_hi_i = (box[i] - alpha[i]) if y[i] > 0 else alpha[i]
-        t_hi_j = alpha[j] if y[j] > 0 else (box[j] - alpha[j])
+        t_hi_i = (cap[i] - alpha[i]) if pos[i] else alpha[i]
+        t_hi_j = alpha[j] if pos[j] else (cap[j] - alpha[j])
         t = min(t_star, t_hi_i, t_hi_j)
         if t <= 0:
             break
-        alpha[i] += y[i] * t
-        alpha[j] -= y[j] * t
-        grad += t * y * (K[:, i] - K[:, j])
+        alpha[i] += t if pos[i] else -t
+        alpha[j] -= t if pos[j] else -t
+        np.subtract(Ki, Kj, out=buf)
+        buf *= t
+        gmax -= buf
+        for k in (i, j):
+            below, above = alpha[k] < hi[k], alpha[k] > 1e-14
+            u, lo = (below, above) if pos[k] else (above, below)
+            if u != up[k]:
+                up[k] = u
+                pen_up[k] = 0.0 if u else -np.inf
+                n_up += 1 if u else -1
+            if lo != low[k]:
+                low[k] = lo
+                pen_low[k] = 0.0 if lo else np.inf
+                n_low += 1 if lo else -1
 
-    gmax = -y * grad
-    up = ((y > 0) & (alpha < box - 1e-14)) | ((y < 0) & (alpha > 1e-14))
-    low = ((y > 0) & (alpha > 1e-14)) | ((y < 0) & (alpha < box - 1e-14))
-    if up.any() and low.any():
+    up, low = np.array(up, dtype=bool), np.array(low, dtype=bool)
+    if n_up and n_low:
         bias = 0.5 * (gmax[up].max() + gmax[low].min())
-    elif up.any():
+    elif n_up:
         bias = gmax[up].max()
-    elif low.any():
+    elif n_low:
         bias = gmax[low].min()
     else:
         bias = 0.0
-    return alpha, float(bias), it + 1
+    return np.array(alpha), float(bias), iterations
 
 
 def train_weighted_svm(problem: WeightedBinaryProblem, spec: KernelSpec,
-                       tol: float = 1e-6, max_iter: Optional[int] = None) -> SvmDecision:
+                       tol: float = 1e-6, max_iter: Optional[int] = None,
+                       gram: Optional[np.ndarray] = None) -> SvmDecision:
     """Train the weighted SVM; degenerate single-class input yields a
-    constant decision at that class's sign."""
+    constant decision at that class's sign.
+
+    gram, if given, must be instance_gram(spec, problem.X); a caller that
+    trains many problems on one X builds it once."""
     X = np.asarray(problem.X, dtype=np.float64)
     y = np.asarray(problem.y, dtype=np.float64)
     w = np.asarray(problem.weights, dtype=np.float64)
@@ -138,7 +179,12 @@ def train_weighted_svm(problem: WeightedBinaryProblem, spec: KernelSpec,
         return SvmDecision(kernel=spec, vectors=np.zeros((0, X.shape[1])),
                            coef=np.zeros(0), bias=const)
 
-    K = instance_gram(spec, X)
+    if gram is None:
+        K = instance_gram(spec, X)
+    elif np.shape(gram) != (X.shape[0], X.shape[0]):
+        raise ValueError("gram must be (N, N)")
+    else:
+        K = gram
     alpha, bias, _ = smo_solve(K, y, problem.C * w, tol=tol, max_iter=max_iter)
     keep = alpha > 1e-12
     return SvmDecision(kernel=spec, vectors=X[keep].copy(),

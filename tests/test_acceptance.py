@@ -1,7 +1,6 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line
 (run with `pytest tests/test_acceptance.py -v -s`)."""
 
-import itertools
 import time
 
 import numpy as np
@@ -13,7 +12,7 @@ from miml.bench import SynthSpec, generate, paired_t_test, random_split_eval
 from miml.cli import REGISTRY, fit_with_config, make_fit_predict, run as cli_run
 from miml.core import Bag, MimlDataset
 from miml.kernels import KernelSpec, build_gram
-from miml.metrics import LabelScores, average_f1, compute_report
+from miml.metrics import average_f1, compute_report
 
 from conftest import random_bag, random_dataset
 from test_dmimlsvm import full_qp_objective

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from miml.bagdist import (
-    Clustering,
     hausdorff,
     k_medoids,
     medoid_of,

@@ -15,7 +15,6 @@ from miml.bench import (
     split_indices,
 )
 from miml.dataio import serialize_dataset
-from miml.metrics import LabelScores
 
 
 def test_generator_deterministic():

@@ -1,8 +1,8 @@
 import dataclasses
+import hashlib
 import io
 import json
 
-import numpy as np
 import pytest
 
 from miml import bench, dataio, dmimlsvm, insdif, mimlboost, mimlsvm, subcod
@@ -213,6 +213,26 @@ def test_eval_stdout_matches_golden(algo, tmp_path):
     code, text = _run(["eval", "--model", str(model), "--data", str(test)])
     assert code == 0
     assert text == _GOLDEN_EVAL[algo]
+
+
+# sha256 of the `miml train` model file, recorded with the SMO loop that
+# rebuilt its working sets and gradient every iteration; the SVM learners'
+# model bytes must not move when the solver's bookkeeping changes
+_GOLDEN_MODEL_SHA = {
+    "mimlboost": ("boost.rounds=8\nboost.seed=1\n",
+                  "6024a18f9b9eb972a6c12c89fb4145fc64b3ac6a1390a2353be82dd1997ac4d1"),
+    "mimlsvm": ("mimlsvm.seed=1\n",
+                "00b388fa6e40fad77a7d05d0945c3af4681e6d75429efcd79f93a0c6beab382b"),
+}
+
+
+@pytest.mark.parametrize("algo", sorted(_GOLDEN_MODEL_SHA))
+def test_train_model_bytes_match_golden(algo, tmp_path):
+    config, digest = _GOLDEN_MODEL_SHA[algo]
+    data = _synth(tmp_path, "train", "T=3\nd=4\nm=40\nn_min=2\nn_max=5\n"
+                  "spread=1.0\nseed=7\n")
+    model = _train(tmp_path, algo, data, config)
+    assert hashlib.sha256(model.read_bytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("algo,config", [

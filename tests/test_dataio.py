@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from miml import dataio
 from miml.core import Bag, MimlDataset
 from miml.dataio import (
     DataFormatError,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from miml.core import Bag, MimlDataset, psi
+from miml.core import Bag, MimlDataset
 from miml.dmimlsvm import (
     DMimlConfig,
     compute_imbalance_rates,

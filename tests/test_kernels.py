@@ -5,7 +5,6 @@ import pytest
 
 from miml.core import Bag
 from miml.kernels import (
-    GramMatrix,
     KernelSpec,
     base_kernel,
     build_gram,

@@ -3,7 +3,6 @@ import pytest
 
 from miml.bagdist import hausdorff, pairwise_hausdorff
 from miml.bench import SynthSpec, generate
-from miml.core import Bag
 from miml.metrics import compute_report
 from miml.mimlsvm import MimlSvmConfig, fit, predict, tcriterion
 

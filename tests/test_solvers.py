@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -288,3 +286,121 @@ def test_svm_complementary_slackness(rng):
             assert y[i] * f[i] >= 1.0 - 1e-6
         else:                                 # at the box: y f <= 1
             assert y[i] * f[i] <= 1.0 + 1e-6
+
+
+def reference_smo(K, y, box, tol=1e-6, max_iter=None):
+    """The SMO loop that rebuilt its working sets and gradient from scratch
+    every iteration, kept verbatim as the oracle of smo_solve's iterates."""
+    y = np.asarray(y, dtype=np.float64)
+    box = np.asarray(box, dtype=np.float64)
+    N = y.size
+    alpha = np.zeros(N)
+    grad = -np.ones(N)
+    if max_iter is None:
+        max_iter = max(5000, 300 * N)
+
+    for it in range(max_iter):
+        gmax = -y * grad
+        up = ((y > 0) & (alpha < box - 1e-14)) | ((y < 0) & (alpha > 1e-14))
+        low = ((y > 0) & (alpha > 1e-14)) | ((y < 0) & (alpha < box - 1e-14))
+        if not up.any() or not low.any():
+            break
+        i = int(np.flatnonzero(up)[np.argmax(gmax[up])])
+        j = int(np.flatnonzero(low)[np.argmin(gmax[low])])
+        m_val, M_val = gmax[i], gmax[j]
+        if m_val - M_val < tol:
+            break
+        eta = K[i, i] + K[j, j] - 2.0 * K[i, j]
+        t_star = (m_val - M_val) / eta if eta > 1e-12 else np.inf
+        t_hi_i = (box[i] - alpha[i]) if y[i] > 0 else alpha[i]
+        t_hi_j = alpha[j] if y[j] > 0 else (box[j] - alpha[j])
+        t = min(t_star, t_hi_i, t_hi_j)
+        if t <= 0:
+            break
+        alpha[i] += y[i] * t
+        alpha[j] -= y[j] * t
+        grad += t * y * (K[:, i] - K[:, j])
+
+    gmax = -y * grad
+    up = ((y > 0) & (alpha < box - 1e-14)) | ((y < 0) & (alpha > 1e-14))
+    low = ((y > 0) & (alpha > 1e-14)) | ((y < 0) & (alpha < box - 1e-14))
+    if up.any() and low.any():
+        bias = 0.5 * (gmax[up].max() + gmax[low].min())
+    elif up.any():
+        bias = gmax[up].max()
+    elif low.any():
+        bias = gmax[low].min()
+    else:
+        bias = 0.0
+    return alpha, float(bias), it + 1
+
+
+def _random_smo_problem(rng, case):
+    """A symmetric Gram, labels, box, tol and iteration cap; the case index
+    cycles through rounded (tied) inputs, zero-weight and near-zero boxes,
+    single-class labels, tol 1e-3 and 1e-6 and the caps None, 40 N and 3."""
+    tiny = case % 8 == 1
+    n = int(rng.integers(2, 6 if tiny else 60))
+    X = rng.normal(size=(n, int(rng.integers(1, 5))))
+    if case % 3 == 0:
+        X = np.round(X)
+    spec = KernelSpec("linear") if case % 5 == 0 else KernelSpec("rbf", float(rng.uniform(0.2, 2.0)))
+    K = instance_gram(spec, X)
+    if case % 7 == 0:
+        y = np.full(n, 1.0 if case % 2 else -1.0)
+    else:
+        y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+    w = rng.uniform(0.0, 2.0, size=n)
+    if case % 4 == 0:
+        w[rng.random(n) < 0.3] = 0.0
+    if case % 6 == 0:
+        w = np.round(w)
+    box = float(rng.choice([0.1, 1.0, 10.0])) * w
+    tol = (1e-3, 1e-6)[case % 2]
+    if tiny:
+        # boxes near the 1e-14 set threshold and a tol the tiny steps can
+        # pass: the up or low set empties mid-run
+        box = rng.choice([0.6e-14, 1.2e-14, 1.6e-14, 2.5e-14, 1.0], size=n)
+        tol = 1e-30
+    max_iter = (None, 40 * n, 3)[case % 3]
+    return K, y, box, tol, max_iter
+
+
+def test_smo_iterates_bit_identical_to_reference():
+    rng = np.random.default_rng(20260601)
+    capped = []
+    for case in range(240):
+        K, y, box, tol, max_iter = _random_smo_problem(rng, case)
+        ref_alpha, ref_bias, ref_iters = reference_smo(K, y, box, tol=tol, max_iter=max_iter)
+        alpha, bias, iters = smo_solve(K, y, box, tol=tol, max_iter=max_iter)
+        assert np.array_equal(alpha.view(np.int64), ref_alpha.view(np.int64)), case
+        assert bias == ref_bias, case
+        assert iters == ref_iters, case
+        if iters == max_iter:
+            capped.append(max_iter)
+    # the comparison covers runs that stop at either iteration cap, 3 or 40 N
+    assert 3 in capped and any(cap > 3 for cap in capped)
+
+
+def test_smo_zero_iterations_returns_start(rng):
+    X = rng.normal(size=(6, 2))
+    y = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
+    K = instance_gram(KernelSpec("rbf", 1.0), X)
+    alpha, bias, iters = smo_solve(K, y, np.ones(6), max_iter=0)
+    assert iters == 0
+    assert np.all(alpha == 0.0)
+    # at alpha = 0 every -y * grad equals y: bias is the midpoint of +1, -1
+    assert bias == 0.0
+    assert smo_solve(K, y, np.ones(6), max_iter=1)[2] == 1
+
+
+def test_train_weighted_svm_precomputed_gram_is_identical(rng):
+    X = rng.normal(size=(30, 3))
+    y = np.where(X[:, 0] > 0, 1.0, -1.0)
+    prob = WeightedBinaryProblem(X, y, rng.uniform(0.0, 1.0, size=30), 2.0)
+    spec = KernelSpec("rbf", None)
+    base = train_weighted_svm(prob, spec, tol=1e-3)
+    given = train_weighted_svm(prob, spec, tol=1e-3, gram=instance_gram(spec, X))
+    assert given.to_payload() == base.to_payload()
+    with pytest.raises(ValueError):
+        train_weighted_svm(prob, spec, gram=np.eye(29))
