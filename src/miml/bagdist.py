@@ -20,14 +20,13 @@ def stack_bags(bags: Sequence[Bag]):
     """Concatenate bag instances into (X, offsets) for the distance kernel."""
     if not bags:
         raise ValueError("need at least one bag")
-    d = bags[0].dim
-    for b in bags:
-        if b.dim != d:
-            raise ValueError("dimension mismatch between bags")
-    sizes = np.array([b.size for b in bags], dtype=np.int64)
-    offsets = np.concatenate(([0], np.cumsum(sizes)))
-    X = np.vstack([b.feats for b in bags])
-    return X, offsets
+    feats = [b.feats for b in bags]
+    d = feats[0].shape[1]
+    if any(f.shape[1] != d for f in feats):
+        raise ValueError("dimension mismatch between bags")
+    offsets = np.zeros(len(feats) + 1, dtype=np.int64)
+    np.cumsum([f.shape[0] for f in feats], out=offsets[1:])
+    return np.concatenate(feats), offsets
 
 
 def hausdorff(a: Bag, b: Bag) -> float:
@@ -42,19 +41,18 @@ def hausdorff(a: Bag, b: Bag) -> float:
 def pairwise_hausdorff(bags_a: Sequence[Bag], bags_b: Sequence[Bag] = None) -> np.ndarray:
     """Full Hausdorff distance matrix between two bag collections.
 
-    With one argument, returns the symmetric matrix over that collection.
+    With one argument, returns the symmetric matrix over that collection
+    (exactly symmetric, zero diagonal).
     """
     xa, offa = stack_bags(bags_a)
     if bags_b is None:
-        sq = pairwise_sq_hausdorff(xa, offa, xa, offa)
-        sq = np.maximum(sq, sq.T)  # exact symmetry
-        np.fill_diagonal(sq, 0.0)
+        sq = pairwise_sq_hausdorff(xa, offa)
     else:
         xb, offb = stack_bags(bags_b)
         if xa.shape[1] != xb.shape[1]:
             raise ValueError("dimension mismatch between collections")
         sq = pairwise_sq_hausdorff(xa, offa, xb, offb)
-    return np.sqrt(sq)
+    return np.sqrt(sq, out=sq)
 
 
 @dataclass(frozen=True)

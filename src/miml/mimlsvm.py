@@ -116,7 +116,7 @@ def fit(ds: MimlDataset, cfg: MimlSvmConfig = MimlSvmConfig()) -> MimlSvmModel:
     chosen_C = cfg.C
     history = {}
     if chosen_C is None:
-        chosen_C, history = _holdout_C(ds, cfg)
+        chosen_C, history = _holdout_C(ds, cfg, D)
     svms = _train_label_svms(Z, label_sets, ds.T, chosen_C, cfg.gamma)
     model = MimlSvmModel(
         medoids=tuple(bags[i] for i in medoid_idx),
@@ -126,7 +126,9 @@ def fit(ds: MimlDataset, cfg: MimlSvmConfig = MimlSvmConfig()) -> MimlSvmModel:
     return model
 
 
-def _holdout_C(ds: MimlDataset, cfg: MimlSvmConfig):
+def _holdout_C(ds: MimlDataset, cfg: MimlSvmConfig, D: np.ndarray):
+    """C from a 75/25 hold-out; D is the fit's distance matrix over all of
+    ds, so the split's matrices are its sub-matrices."""
     rng = np.random.default_rng(cfg.seed)
     m = ds.m
     if m < 4:
@@ -137,12 +139,11 @@ def _holdout_C(ds: MimlDataset, cfg: MimlSvmConfig):
     sub, hold = perm[:cut], perm[cut:]
     sub_ds = ds.subset(sub)
     k_sub = min(resolve_k(cfg, len(sub)), len(sub))
-    D = pairwise_hausdorff(sub_ds.bags())
-    clustering = k_medoids_from_dists(D, k_sub, seed=cfg.seed)
+    D_sub = D[np.ix_(sub, sub)]
+    clustering = k_medoids_from_dists(D_sub, k_sub, seed=cfg.seed)
     medoid_idx = list(clustering.medoid_indices)
-    Z_sub = D[:, medoid_idx]
-    medoid_bags = [sub_ds.bags()[i] for i in medoid_idx]
-    Z_hold = pairwise_hausdorff([ds.bags()[i] for i in hold], medoid_bags)
+    Z_sub = D_sub[:, medoid_idx]
+    Z_hold = D[np.ix_(hold, sub[medoid_idx])]
     hold_labels = [ds.label_sets()[i] for i in hold]
 
     scores = {}

@@ -99,7 +99,12 @@ def test_criterion_4_mimlboost():
         for entry in model.history["rounds"]:
             if captured < 20:
                 W, e = entry["W"], entry["e"]
-                vals = np.sum(W[None, :] * np.exp(np.outer(grid, 2 * e - 1)), axis=1)
+                # row sums over grid chunks: the same values as one
+                # (grid, bags) matrix, without its ~430 MB temporaries
+                vals = np.concatenate([
+                    np.sum(W[None, :] * np.exp(np.outer(grid[s:s + 50_000], 2 * e - 1)),
+                           axis=1)
+                    for s in range(0, grid.size, 50_000)])
                 ok_c &= abs(entry["c"] - grid[np.argmin(vals)]) <= 1e-4
                 captured += 1
             ok_w &= bool(np.all(entry["W"] >= 0)

@@ -1,8 +1,10 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from miml import _dist
 from miml.bagdist import (
     hausdorff,
     k_medoids,
@@ -71,6 +73,78 @@ def test_pairwise_forms_match_enumeration_oracle(rng):
             assert square[i, j] == pytest.approx(oracle_hausdorff(a, b), abs=1e-12)
         for j, b in enumerate(others):
             assert cross[i, j] == pytest.approx(oracle_hausdorff(a, b), abs=1e-12)
+
+
+def oracle_matrix(bags_a, bags_b):
+    """The defining max-min formula over exact differences, vectorized per
+    pair of bags (fast enough for bags of hundreds of instances)."""
+    out = np.empty((len(bags_a), len(bags_b)))
+    for i, a in enumerate(bags_a):
+        for j, b in enumerate(bags_b):
+            D = np.sqrt(((a.feats[:, None, :] - b.feats[None, :, :]) ** 2).sum(-1))
+            out[i, j] = max(D.min(axis=1).max(), D.min(axis=0).max())
+    return out
+
+
+def ragged_bags(rng, m, d, big, prefix):
+    """Bags of 1 to 9 instances in shuffled order, plus one of ``big``."""
+    sizes = list(rng.integers(1, 10, size=m - 1)) + [big]
+    rng.shuffle(sizes)
+    return [Bag(f"{prefix}{i}", rng.normal(size=(int(n), d))) for i, n in enumerate(sizes)]
+
+
+def check_forms(bags, others):
+    square = pairwise_hausdorff(bags)
+    cross = pairwise_hausdorff(bags, others)
+    assert np.array_equal(square, square.T)
+    assert np.all(np.diag(square) == 0.0)
+    assert np.abs(square - pairwise_hausdorff(bags, list(bags))).max() <= 1e-12
+    assert np.abs(square - oracle_matrix(bags, bags)).max() <= 1e-12
+    assert np.abs(cross - oracle_matrix(bags, others)).max() <= 1e-12
+    assert np.array_equal(pairwise_hausdorff(others, bags), cross.T)
+
+
+def test_ragged_bags_across_block_edges(rng):
+    # one bag larger than the block budget gets a range of its own; the rest
+    # fill several ranges of the size-ordered collection
+    bags = ragged_bags(rng, 60, 3, _dist.BLOCK + 37, "b")
+    others = ragged_bags(rng, 25, 3, 2 * _dist.BLOCK + 1, "c")
+    check_forms(bags, others)
+
+
+@pytest.mark.parametrize("block", [1, 2, 5, 16, 40])
+def test_small_block_budgets(rng, monkeypatch, block):
+    monkeypatch.setattr(_dist, "BLOCK", block)
+    bags = ragged_bags(rng, 30, 2, 23, "b")
+    others = ragged_bags(rng, 12, 2, 7, "c")
+    check_forms(bags, others)
+
+
+def test_single_bag_and_queries_equal_to_medoids_are_exactly_zero(rng):
+    bag = random_bag(rng, 4, n_min=1, n_max=6)
+    assert pairwise_hausdorff([bag]).tolist() == [[0.0]]
+    medoids = [random_bag(rng, 4, n_min=1, n_max=9, ident=f"m{i}") for i in range(30)]
+    # the same point sets under other ids and in reversed instance order
+    queries = [Bag(f"q{i}", m.feats[::-1]) for i, m in enumerate(medoids)]
+    Z = pairwise_hausdorff(queries, medoids)
+    assert np.all(np.diag(Z) == 0.0)
+    assert np.all(Z[~np.eye(len(medoids), dtype=bool)] > 0.0)
+    assert np.all(np.diag(pairwise_hausdorff(medoids, medoids)) == 0.0)
+
+
+def test_peak_memory_is_bounded_by_the_block_budget():
+    # 4000 instances in 800 bags: the whole-matrix expansion kernel this
+    # replaced peaked at ~256 MB of NumPy allocations on this input
+    rng = np.random.default_rng(11)
+    bags = [Bag(f"b{i}", rng.normal(size=(5, 8))) for i in range(800)]
+    tracemalloc.start()
+    try:
+        D = pairwise_hausdorff(bags)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert D.shape == (800, 800)
+    assert peak < 40e6
 
 
 def test_medoid_of():

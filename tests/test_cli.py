@@ -215,14 +215,14 @@ def test_eval_stdout_matches_golden(algo, tmp_path):
     assert text == _GOLDEN_EVAL[algo]
 
 
-# sha256 of the `miml train` model file, recorded with the SMO loop that
-# rebuilt its working sets and gradient every iteration; the SVM learners'
-# model bytes must not move when the solver's bookkeeping changes
+# sha256 of the `miml train` model file; the SVM learners' model bytes must
+# not move when the solver's bookkeeping changes (the mimlsvm value comes
+# from the Hausdorff kernel that is exact at the realizing pair)
 _GOLDEN_MODEL_SHA = {
     "mimlboost": ("boost.rounds=8\nboost.seed=1\n",
                   "6024a18f9b9eb972a6c12c89fb4145fc64b3ac6a1390a2353be82dd1997ac4d1"),
     "mimlsvm": ("mimlsvm.seed=1\n",
-                "00b388fa6e40fad77a7d05d0945c3af4681e6d75429efcd79f93a0c6beab382b"),
+                "4315f2ed5bb1519d50e3431092dd460b28fc040fb272c1ef637bd7e49c18baba"),
 }
 
 
