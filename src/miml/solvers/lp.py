@@ -4,6 +4,13 @@ Problems are given as min c'x subject to G x <= h, A x == b and box bounds;
 the solver converts to standard form, finds a basic feasible solution with
 artificial variables, and then optimizes.  Dantzig pricing with a switch to
 Bland's rule guards against cycling.
+
+A pivot updates every row whose pivot-column entry is nonzero in one
+vectorized step.  Each entry gets the same product and subtraction as in a
+row-by-row loop, and rows with an exact zero are skipped as that loop skips
+them (updating them would turn -0.0 entries into 0.0), so every tableau,
+pivot choice and solution is bit-identical to the loop.  A pivot-limit
+error names the phase, the problem and tableau sizes and the pivots made.
 """
 
 from dataclasses import dataclass
@@ -38,14 +45,15 @@ def _as_2d(M, ncols):
 
 def _pivot(tab, basis, row, col):
     tab[row] /= tab[row, col]
-    for r in range(tab.shape[0]):
-        if r != row and tab[r, col] != 0.0:
-            tab[r] -= tab[r, col] * tab[row]
+    rows = np.flatnonzero(tab[:, col])
+    rows = rows[rows != row]
+    tab[rows] -= tab[rows, col][:, None] * tab[row]
     basis[row] = col
 
 
-def _run_simplex(tab, basis, ncols_opt):
-    """Optimize the tableau in place over columns [0, ncols_opt)."""
+def _run_simplex(tab, basis, ncols_opt, what):
+    """Optimize the tableau in place over columns [0, ncols_opt); ``what``
+    names the phase and problem size in a pivot-limit error."""
     for it in range(_MAX_PIVOTS):
         cost = tab[-1, :ncols_opt]
         if it < _BLAND_AFTER:
@@ -68,7 +76,9 @@ def _run_simplex(tab, basis, ncols_opt):
         # ties: leave the variable with the smallest index (anti-cycling)
         row = int(cand[np.argmin([basis[r] for r in cand])])
         _pivot(tab, basis, row, col)
-    raise NumericalError("simplex exceeded pivot limit")
+    raise NumericalError(
+        f"simplex exceeded pivot limit: {_MAX_PIVOTS} pivots on a "
+        f"{tab.shape[0] - 1}-row, {tab.shape[1] - 1}-column tableau ({what})")
 
 
 def solve_lp(p: LpProblem):
@@ -88,6 +98,7 @@ def solve_lp(p: LpProblem):
         raise ValueError("inconsistent constraint dimensions")
     if np.any(lb > ub):
         raise InfeasibleError("empty box")
+    size = f"{nx} variables, {G.shape[0]} inequality and {A.shape[0]} equality rows"
 
     # Standard-form columns: for each variable either one shifted column or a
     # +/- split; record how to map back.
@@ -104,12 +115,11 @@ def solve_lp(p: LpProblem):
             cols.append((j, 1.0, 0.0))
             cols.append((j, -1.0, 0.0))
     ns = len(cols)
+    col_var = np.array([j for j, _, _ in cols], dtype=np.intp)
+    col_sign = np.array([s for _, s, _ in cols])
 
     def expand(M):
-        out = np.zeros((M.shape[0], ns))
-        for k, (j, s, _) in enumerate(cols):
-            out[:, k] = s * M[:, j]
-        return out
+        return M[:, col_var] * col_sign
 
     shift = np.zeros(nx)
     for j, s, off in cols:
@@ -165,10 +175,9 @@ def solve_lp(p: LpProblem):
     if n_art:
         # phase 1: minimize the sum of artificials
         tab[-1, ns + n_slack:ncols] = 1.0
-        for r in range(nrows):
-            if basis[r] >= ns + n_slack:
-                tab[-1] -= tab[r]
-        _run_simplex(tab, basis, ncols)
+        for r in art_cols:
+            tab[-1] -= tab[r]
+        _run_simplex(tab, basis, ncols, f"phase 1; {size}")
         if tab[-1, -1] < -1e-7:
             raise InfeasibleError("phase-1 optimum positive: no feasible point")
         # drive leftover zero-level artificials out of the basis; a row with
@@ -196,13 +205,13 @@ def solve_lp(p: LpProblem):
     for r in range(nrows):
         if tab[-1, basis[r]] != 0.0:
             tab[-1] -= tab[-1, basis[r]] * tab[r]
-    _run_simplex(tab, basis, ns + n_slack)
+    _run_simplex(tab, basis, ns + n_slack, f"phase 2; {size}")
 
     xs = np.zeros(ns)
-    for r in range(nrows):
-        if basis[r] < ns:
-            xs[basis[r]] = tab[r, -1]
+    basic = np.array(basis, dtype=np.intp)
+    real = basic < ns
+    xs[basic[real]] = tab[:nrows, -1][real]
     x = shift.copy()
-    for k, (j, s, _) in enumerate(cols):
-        x[j] += s * xs[k] if s > 0 else -xs[k]
+    # in column order, so a split variable adds its + part, then its - part
+    np.add.at(x, col_var, np.where(col_sign > 0, xs, -xs))
     return x, float(c @ x)

@@ -5,6 +5,18 @@ Q must be symmetric positive semidefinite; a tiny ridge keeps the
 equality-constrained subproblems well posed.  A feasible start can be
 supplied (with an optional initial active set) and is otherwise found by a
 phase-1 simplex run.
+
+Each step minimizes over the null space of the working rows.  That null
+basis and the eigendecomposition of the reduced Hessian depend only on the
+working set, so they are kept while the working set is unchanged in content
+and order (after a full, unblocked step) and recomputed from the same
+stacked rows otherwise; only the gradient projection is redone.  The
+multipliers of the working rows are read only at a zero step, so the
+least-squares solve for them runs only there, on the same arguments as
+before.  Nothing is updated incrementally: every array the iteration reads
+is computed by the same operations on the same inputs as when everything
+was rebuilt at every step, so iterates, working sets and iteration counts
+are bit-identical to that form.
 """
 
 from dataclasses import dataclass
@@ -19,38 +31,38 @@ _FEAS_TOL = 1e-8
 _RIDGE = 1e-9   # keeps the KKT systems solvable without visibly moving optima
 
 
-def _eqp_step(Qr, g, M, ridge):
-    """Exact minimizer step of min 1/2 p'Qr p + g'p s.t. M p = 0.
+def _reduced_hessian(Qr, M, ridge):
+    """Orthonormal null basis Z of M and the eigenpairs (w, V) of Z'Qr Z,
+    with w floored at ridge/2; (w, V) are None when Z has no columns.
 
-    Null-space method: reduce onto an orthonormal null basis of M and solve
-    the (positive definite, thanks to the ridge) reduced system by a
-    symmetric eigendecomposition.  Returns (p, multipliers-for-M-rows)."""
-    n = g.size
+    Null-space method: the reduced system is positive definite thanks to
+    the ridge and is solved by a symmetric eigendecomposition."""
     if M.shape[0]:
         _, s, Vt = np.linalg.svd(M, full_matrices=True)
         r = int(np.sum(s > 1e-10 * max(1.0, s[0] if s.size else 0.0)))
         Z = Vt[r:].T
     else:
-        Z = np.eye(n)
+        Z = np.eye(Qr.shape[0])
     if Z.shape[1] == 0:
-        p = np.zeros(n)
-    else:
-        H = Z.T @ Qr @ Z
-        H = (H + H.T) / 2.0
-        w, V = np.linalg.eigh(H)
-        w = np.maximum(w, 0.5 * ridge)
-        gz = V.T @ (Z.T @ -g)
-        # near-flat modes amplify gradient noise by 1/ridge; move along them
-        # only when the gradient component is real
-        atol = 1e-10 * (1.0 + float(np.max(np.abs(g))))
-        keep = (w > 2.0 * ridge) | (np.abs(gz) > atol)
-        u = np.where(keep, gz / w, 0.0)
-        p = Z @ (V @ u)
-    if M.shape[0]:
-        mults, *_ = np.linalg.lstsq(M.T, -(g + Qr @ p), rcond=None)
-    else:
-        mults = np.zeros(0)
-    return p, mults
+        return Z, None, None
+    H = Z.T @ Qr @ Z
+    H = (H + H.T) / 2.0
+    w, V = np.linalg.eigh(H)
+    return Z, np.maximum(w, 0.5 * ridge), V
+
+
+def _eqp_step(Z, w, V, g, ridge):
+    """Exact minimizer step of min 1/2 p'Qr p + g'p s.t. M p = 0, given
+    ``_reduced_hessian(Qr, M, ridge)``."""
+    if Z.shape[1] == 0:
+        return np.zeros(g.size)
+    gz = V.T @ (Z.T @ -g)
+    # near-flat modes amplify gradient noise by 1/ridge; move along them
+    # only when the gradient component is real
+    atol = 1e-10 * (1.0 + float(np.max(np.abs(g))))
+    keep = (w > 2.0 * ridge) | (np.abs(gz) > atol)
+    u = np.where(keep, gz / w, 0.0)
+    return Z @ (V @ u)
 
 
 @dataclass
@@ -123,11 +135,13 @@ def _independent_tight_rows(G, h, A, x, tol):
     tight = np.flatnonzero(np.abs(G @ x - h) <= tol) if G.size else np.array([], dtype=int)
     chosen = []
     stack = A.copy() if A.size else np.zeros((0, x.size))
+    rank = np.linalg.matrix_rank(stack, tol=1e-10)
     for r in tight:
         cand = np.vstack([stack, G[r]])
-        if np.linalg.matrix_rank(cand, tol=1e-10) > np.linalg.matrix_rank(stack, tol=1e-10):
+        cand_rank = np.linalg.matrix_rank(cand, tol=1e-10)
+        if cand_rank > rank:
             chosen.append(int(r))
-            stack = cand
+            stack, rank = cand, cand_rank
         if stack.shape[0] >= x.size:
             break
     return chosen
@@ -138,7 +152,9 @@ def solve_qp(p: QpProblem, x0: Optional[np.ndarray] = None,
     """Active-set solve; returns the KKT point and its objective.
 
     ``active0`` injects an initial working set (row indices into the folded
-    inequality system) for warm starts.
+    inequality system) for warm starts.  A failure names the problem size
+    (box bounds count as inequality rows), the working-set size and the
+    iteration reached.
     """
     Q, c, G, h, A, b = _fold(p)
     n = c.size
@@ -162,16 +178,27 @@ def solve_qp(p: QpProblem, x0: Optional[np.ndarray] = None,
     else:
         W = _independent_tight_rows(G, h, A, x, 1e-9)
 
+    def state(it):
+        return (f"{n} variables, {G.shape[0]} inequality and {A.shape[0]} equality rows, "
+                f"working set of {len(W)} at iteration {it + 1}")
+
     n_eq = A.shape[0]
     max_iter = 50 + 6 * (n + G.shape[0])
+    W_factored = None   # the working set that M and fact belong to
     for it in range(max_iter):
         g = Qr @ x + c
-        M = np.vstack([A, G[W]]) if (n_eq or W) else np.zeros((0, n))
-        step, mults = _eqp_step(Qr, g, M, ridge)
+        if W != W_factored:
+            M = np.vstack([A, G[W]]) if (n_eq or W) else np.zeros((0, n))
+            fact = _reduced_hessian(Qr, M, ridge)
+            W_factored = list(W)
+        step = _eqp_step(*fact, g, ridge)
 
         if np.max(np.abs(step), initial=0.0) <= 1e-10 * (1.0 + np.max(np.abs(x))):
+            if not W:
+                break
+            mults, *_ = np.linalg.lstsq(M.T, -(g + Qr @ step), rcond=None)
             lam = mults[n_eq:]
-            if lam.size == 0 or np.min(lam) >= -1e-9:
+            if np.min(lam) >= -1e-9:
                 break
             drop = int(np.argmin(lam))
             W.pop(drop)
@@ -180,27 +207,29 @@ def solve_qp(p: QpProblem, x0: Optional[np.ndarray] = None,
         # ratio test against rows outside the working set
         alpha, block = 1.0, -1
         if G.size:
-            outside = np.setdiff1d(np.arange(G.shape[0]), W, assume_unique=False)
+            inside = np.zeros(G.shape[0], dtype=bool)
+            inside[W] = True
+            outside = np.flatnonzero(~inside)
             if outside.size:
                 adv = G[outside] @ step
                 mask = adv > 1e-12
                 if mask.any():
-                    slack = h[outside[mask]] - G[outside[mask]] @ x
-                    ratios = np.maximum(slack, 0.0) / adv[mask]
+                    rows = outside[mask]
+                    ratios = np.maximum(h[rows] - G[rows] @ x, 0.0) / adv[mask]
                     j = int(np.argmin(ratios))
                     if ratios[j] < alpha:
-                        alpha = float(ratios[j])
-                        block = int(outside[mask][j])
+                        alpha, block = float(ratios[j]), int(rows[j])
         x = x + alpha * step
         if block >= 0:
             W.append(block)
     else:
-        raise NumericalError("active-set iteration limit exceeded")
+        raise NumericalError(f"active-set iteration limit exceeded ({state(it)})")
 
     # a flat descent direction only stops at the ridge scale; treat that as
     # an unbounded objective (legitimate desk-scale solutions are far smaller)
     if np.max(np.abs(x)) > 1e-3 / ridge:
-        raise UnboundedError("solution norm blew up; objective likely unbounded")
+        raise UnboundedError("solution norm blew up; objective likely unbounded "
+                             f"(max |x| {np.max(np.abs(x)):.2e}; {state(it)})")
 
     # final KKT verification on the original (un-ridged) problem
     feas = float(np.max(G @ x - h, initial=0.0)) if G.size else 0.0
@@ -216,7 +245,7 @@ def solve_qp(p: QpProblem, x0: Optional[np.ndarray] = None,
     scale = 1.0 + float(np.max(np.abs(c), initial=0.0))
     if feas > 1e-6 * scale or stat > 1e-6 * scale:
         raise NumericalError(
-            f"KKT check failed: feasibility {feas:.2e}, stationarity {stat:.2e}"
+            f"KKT check failed: feasibility {feas:.2e}, stationarity {stat:.2e} ({state(it)})"
         )
     obj = float(0.5 * x @ Q @ x + c @ x)
     return QpResult(x=x, objective=obj, active=tuple(sorted(W)), iterations=it + 1)

@@ -52,30 +52,34 @@ class GmmModel:
         return self.means.shape[0]
 
     def component_log_pdf(self, X: np.ndarray) -> np.ndarray:
-        """(N, M) log densities of every point under every component."""
-        X = np.asarray(X, dtype=np.float64)
-        N, d = X.shape
-        out = np.empty((N, self.M))
-        for k in range(self.M):
-            chol = np.linalg.cholesky(self.covs[k])
-            diff = X - self.means[k]
-            sol = np.linalg.solve(chol, diff.T)
-            maha = np.sum(sol * sol, axis=0)
-            logdet = 2.0 * np.sum(np.log(np.diag(chol)))
-            out[:, k] = -0.5 * (d * _LOG_2PI + logdet + maha)
-        return out
+        """(N, M) log densities of every point under every component.
 
-    def responsibilities(self, X: np.ndarray) -> np.ndarray:
-        """(N, M) row-stochastic posterior component weights."""
+        The components are stacked into one batched Cholesky and solve; the
+        batched LAPACK calls and reductions give each component the same
+        bits as a loop over components would."""
+        X = np.asarray(X, dtype=np.float64)
+        d = X.shape[1]
+        chol = np.linalg.cholesky(self.covs)
+        diff = X[None, :, :] - self.means[:, None, :]
+        sol = np.linalg.solve(chol, diff.transpose(0, 2, 1))
+        maha = np.sum(sol * sol, axis=1)
+        logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
+        # C order: the row reductions over components must run along rows
+        return np.ascontiguousarray((-0.5 * ((d * _LOG_2PI + logdet)[:, None] + maha)).T)
+
+    def posterior(self, X: np.ndarray) -> Tuple[float, np.ndarray]:
+        """Log-likelihood of X and the (N, M) row-stochastic posterior
+        component weights, both from one pass over the weighted
+        log-densities."""
         logp = self.component_log_pdf(X) + np.log(self.weights)[None, :]
         mx = logp.max(axis=1, keepdims=True)
         p = np.exp(logp - mx)
-        return p / p.sum(axis=1, keepdims=True)
+        total = p.sum(axis=1, keepdims=True)
+        return float(np.sum(mx[:, 0] + np.log(total[:, 0]))), p / total
 
-    def log_likelihood(self, X: np.ndarray) -> float:
-        logp = self.component_log_pdf(X) + np.log(self.weights)[None, :]
-        mx = logp.max(axis=1)
-        return float(np.sum(mx + np.log(np.exp(logp - mx[:, None]).sum(axis=1))))
+    def responsibilities(self, X: np.ndarray) -> np.ndarray:
+        """(N, M) row-stochastic posterior component weights."""
+        return self.posterior(X)[1]
 
     def to_payload(self) -> dict:
         return {"means": self.means.tolist(), "covs": self.covs.tolist(),
@@ -101,6 +105,13 @@ def em_fit_gmm(X: np.ndarray, M: int, seed: int, max_iters: int = 100,
     The winning run's log-likelihood history is non-decreasing: a step that
     fails to improve (possible only through the covariance regularizer)
     reverts to the previous parameters and stops.
+
+    Each model's weighted log-densities are computed once per run: the pass
+    that scores a candidate's log-likelihood also yields its
+    responsibilities, which the next E-step uses if the candidate is kept.
+    Both come from the same array by the same operations as when they were
+    computed in two passes, so every iterate and the history are
+    bit-identical to that form.
     """
     X = np.asarray(X, dtype=np.float64)
     N, d = X.shape
@@ -123,9 +134,9 @@ def _em_once(X: np.ndarray, M: int, rng: np.random.Generator,
     model = GmmModel(means=centers.copy(),
                      covs=np.repeat(base_cov[None, :, :], M, axis=0),
                      weights=np.full(M, 1.0 / M))
-    history = [model.log_likelihood(X)]
+    ll, gamma_ik = model.posterior(X)
+    history = [ll]
     for _ in range(max_iters):
-        gamma_ik = model.responsibilities(X)
         Nk = gamma_ik.sum(axis=0)
         means = (gamma_ik.T @ X) / Nk[:, None]
         covs = np.empty((M, d, d))
@@ -133,10 +144,10 @@ def _em_once(X: np.ndarray, M: int, rng: np.random.Generator,
             diff = X - means[k]
             covs[k] = _regularize((gamma_ik[:, k][:, None] * diff).T @ diff / Nk[k])
         cand = GmmModel(means=means, covs=covs, weights=Nk / N)
-        ll = cand.log_likelihood(X)
+        ll, cand_gamma = cand.posterior(X)
         if ll < history[-1] - 1e-12:
             break  # regularizer-induced dip: keep the better parameters
-        model = cand
+        model, gamma_ik = cand, cand_gamma
         improved = ll - history[-1]
         history.append(ll)
         if improved < tol:

@@ -2,12 +2,14 @@ import dataclasses
 import hashlib
 import io
 import json
+import re
 
 import pytest
 
 from miml import bench, dataio, dmimlsvm, insdif, mimlboost, mimlsvm, subcod
 from miml.cli import REGISTRY, run
 from miml.core import Bag, MimlDataset
+from miml.solvers import lp
 
 
 def _run(argv):
@@ -215,24 +217,44 @@ def test_eval_stdout_matches_golden(algo, tmp_path):
     assert text == _GOLDEN_EVAL[algo]
 
 
-# sha256 of the `miml train` model file; the SVM learners' model bytes must
-# not move when the solver's bookkeeping changes (the mimlsvm value comes
-# from the Hausdorff kernel that is exact at the realizing pair)
+# sha256 of the `miml train` model file; the solver-based learners' model
+# bytes must not move when a solver's bookkeeping changes (the mimlsvm value
+# comes from the Hausdorff kernel that is exact at the realizing pair).  The
+# subcod fit (m=28, M=9 sub-concepts) runs EM and the polishing QP and LP at
+# about the size of the SubCod benchmark fits; dmimlsvm runs its active-set QP.
+_MODEL_DATA = "T=3\nd=4\nm=40\nn_min=2\nn_max=5\nspread=1.0\nseed=7\n"
 _GOLDEN_MODEL_SHA = {
-    "mimlboost": ("boost.rounds=8\nboost.seed=1\n",
+    "mimlboost": (_MODEL_DATA, "boost.rounds=8\nboost.seed=1\n",
                   "6024a18f9b9eb972a6c12c89fb4145fc64b3ac6a1390a2353be82dd1997ac4d1"),
-    "mimlsvm": ("mimlsvm.seed=1\n",
+    "mimlsvm": (_MODEL_DATA, "mimlsvm.seed=1\n",
                 "4315f2ed5bb1519d50e3431092dd460b28fc040fb272c1ef637bd7e49c18baba"),
+    "subcod": ("T=2\nd=4\nn_min=2\nn_max=6\nspread=2.0\nm=28\nseed=7\n",
+               "subcod.seed=1\n",
+               "90529ed1449bed8ebd71be7586ef3061c463bdf5aaec9ef4655c4d8d3acbbdfa"),
+    "dmimlsvm": ("T=3\nd=4\nn_min=1\nn_max=4\nspread=1.5\nm=12\nseed=7\n",
+                 "dmiml.cccp_iters=3\ndmiml.seed=1\n",
+                 "161fc8e68824061d041945112363fa0e08cc1cd516131677a15267644131ba53"),
 }
 
 
 @pytest.mark.parametrize("algo", sorted(_GOLDEN_MODEL_SHA))
 def test_train_model_bytes_match_golden(algo, tmp_path):
-    config, digest = _GOLDEN_MODEL_SHA[algo]
-    data = _synth(tmp_path, "train", "T=3\nd=4\nm=40\nn_min=2\nn_max=5\n"
-                  "spread=1.0\nseed=7\n")
+    spec, config, digest = _GOLDEN_MODEL_SHA[algo]
+    data = _synth(tmp_path, "train", spec)
     model = _train(tmp_path, algo, data, config)
     assert hashlib.sha256(model.read_bytes()).hexdigest() == digest
+
+
+def test_solver_pivot_limit_is_numerical_failure(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(lp, "_MAX_PIVOTS", 1)
+    data = _synth(tmp_path, "train", _GOLDEN_SETUP["subcod"][0] + "m=20\nseed=3\n")
+    (tmp_path / "subcod.cfg").write_text("subcod.seed=1\n")
+    code, _ = _run(["train", "--algo", "subcod", "--data", str(data), "--model",
+                    str(tmp_path / "m.model"), "--config", str(tmp_path / "subcod.cfg")])
+    assert code == 3
+    assert re.search(r"numerical failure: simplex exceeded pivot limit: 1 pivots on a "
+                     r"\d+-row, \d+-column tableau \(phase \d; \d+ variables, \d+ "
+                     r"inequality and 0 equality rows\)", capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("algo,config", [

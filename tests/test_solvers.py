@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
 
+from miml import bench, dmimlsvm, subcod
+from miml.dmimlsvm import DMimlConfig
 from miml.kernels import KernelSpec, instance_gram
 from miml.solvers import (
     InfeasibleError,
     LpProblem,
+    NumericalError,
     QpProblem,
+    SolverError,
     UnboundedError,
     WeightedBinaryProblem,
     lstsq_svd,
@@ -15,6 +19,8 @@ from miml.solvers import (
     solve_qp,
     train_weighted_svm,
 )
+from miml.solvers import lp, qp
+from miml.subcod import SubCodConfig
 
 
 # ------------------------------------------------------------ 1-d convex
@@ -158,8 +164,28 @@ def test_qp_infeasible():
 
 
 def test_qp_unbounded():
-    with pytest.raises(UnboundedError):
+    with pytest.raises(UnboundedError, match=r"1 variables, 1 inequality and 0 equality "
+                                             r"rows, working set of 0 at iteration \d+"):
         solve_qp(QpProblem(Q=[[0.0]], c=[1.0], ub=[5.0]))
+
+
+def test_qp_iteration_limit_names_size_and_state(monkeypatch):
+    # a step rule that never settles runs into the 50 + 6 (n + rows) budget
+    monkeypatch.setattr(qp, "_eqp_step", lambda Z, w, V, g, ridge: np.full(g.size, 1e-3))
+    p = QpProblem(Q=np.eye(2), c=[0.0, 0.0], G=[[1.0, 1.0]], h=[1e6], A=[[1.0, -1.0]], b=[0.0])
+    with pytest.raises(NumericalError, match=r"iteration limit exceeded \(2 variables, "
+                                             r"1 inequality and 1 equality rows, working "
+                                             r"set of 0 at iteration 68\)"):
+        solve_qp(p)
+
+
+def test_lp_pivot_limit_names_size_and_state(monkeypatch):
+    monkeypatch.setattr(lp, "_MAX_PIVOTS", 1)
+    p = LpProblem(c=[1.0, 1.0], G=[[-1.0, -1.0]], h=[-1.0], lb=[0.0, 0.0], ub=[1.0, 1.0])
+    with pytest.raises(NumericalError, match=r"pivot limit: 1 pivots on a 3-row, 6-column "
+                                             r"tableau \(phase 1; 2 variables, 1 inequality "
+                                             r"and 0 equality rows\)"):
+        solve_lp(p)
 
 
 def _projected_gradient_oracle(Q, c, lb, ub, iters=400000, tol=1e-10):
@@ -404,3 +430,510 @@ def test_train_weighted_svm_precomputed_gram_is_identical(rng):
     assert given.to_payload() == base.to_payload()
     with pytest.raises(ValueError):
         train_weighted_svm(prob, spec, gram=np.eye(29))
+
+
+# ------------------------------------------------- LP and QP oracles
+
+def reference_pivot(tab, basis, row, col):
+    """The row-by-row pivot that preceded the vectorized one, kept verbatim
+    as the oracle of its tableau bytes."""
+    tab[row] /= tab[row, col]
+    for r in range(tab.shape[0]):
+        if r != row and tab[r, col] != 0.0:
+            tab[r] -= tab[r, col] * tab[row]
+    basis[row] = col
+
+
+def reference_run_simplex(tab, basis, ncols_opt):
+    """Optimize the tableau in place over columns [0, ncols_opt)."""
+    for it in range(lp._MAX_PIVOTS):
+        cost = tab[-1, :ncols_opt]
+        if it < lp._BLAND_AFTER:
+            col = int(np.argmin(cost))
+            if cost[col] >= -lp._TOL:
+                return
+        else:  # Bland: first improving column
+            neg = np.flatnonzero(cost < -lp._TOL)
+            if neg.size == 0:
+                return
+            col = int(neg[0])
+        colvals = tab[:-1, col]
+        rhs = tab[:-1, -1]
+        rows = np.flatnonzero(colvals > lp._TOL)
+        if rows.size == 0:
+            raise UnboundedError("objective unbounded below")
+        ratios = rhs[rows] / colvals[rows]
+        best = ratios.min()
+        cand = rows[ratios <= best + lp._TOL]
+        # ties: leave the variable with the smallest index (anti-cycling)
+        row = int(cand[np.argmin([basis[r] for r in cand])])
+        reference_pivot(tab, basis, row, col)
+    raise NumericalError("simplex exceeded pivot limit")
+
+
+def reference_solve_lp(p):
+    """The simplex solve whose pivot and standard-form mapping ran row by
+    row and column by column, kept verbatim (with the two functions above)
+    as the oracle of solve_lp's tableaux and solutions."""
+    c = np.asarray(p.c, dtype=np.float64).ravel()
+    nx = c.size
+    G = lp._as_2d(p.G, nx)
+    h = np.zeros(0) if p.h is None else np.asarray(p.h, dtype=np.float64).ravel()
+    A = lp._as_2d(p.A, nx)
+    b = np.zeros(0) if p.b is None else np.asarray(p.b, dtype=np.float64).ravel()
+    lb = np.full(nx, -np.inf) if p.lb is None else np.asarray(p.lb, dtype=np.float64)
+    ub = np.full(nx, np.inf) if p.ub is None else np.asarray(p.ub, dtype=np.float64)
+    if G.shape[0] != h.size or A.shape[0] != b.size:
+        raise ValueError("inconsistent constraint dimensions")
+    if np.any(lb > ub):
+        raise InfeasibleError("empty box")
+
+    # Standard-form columns: for each variable either one shifted column or a
+    # +/- split; record how to map back.
+    cols = []           # (var, sign, shift) per standard column
+    extra_rows = []     # upper-bound rows over standard columns
+    for j in range(nx):
+        if np.isfinite(lb[j]):
+            cols.append((j, 1.0, lb[j]))
+            if np.isfinite(ub[j]):
+                extra_rows.append((len(cols) - 1, ub[j] - lb[j]))
+        elif np.isfinite(ub[j]):
+            cols.append((j, -1.0, ub[j]))      # x = ub - v
+        else:
+            cols.append((j, 1.0, 0.0))
+            cols.append((j, -1.0, 0.0))
+    ns = len(cols)
+
+    def expand(M):
+        out = np.zeros((M.shape[0], ns))
+        for k, (j, s, _) in enumerate(cols):
+            out[:, k] = s * M[:, j]
+        return out
+
+    shift = np.zeros(nx)
+    for j, s, off in cols:
+        if s > 0 and off != 0.0:
+            shift[j] = off
+        elif s < 0:
+            shift[j] = off
+    # rhs adjustments for the shifts: row value at x = shift
+    g_shift = G @ shift if G.size else np.zeros(0)
+    a_shift = A @ shift if A.size else np.zeros(0)
+
+    Gs, hs = expand(G), h - g_shift
+    As, bs = expand(A), b - a_shift
+    n_ub = len(extra_rows)
+    Us = np.zeros((n_ub, ns))
+    us = np.zeros(n_ub)
+    for r, (k, cap) in enumerate(extra_rows):
+        Us[r, k] = 1.0
+        us[r] = cap
+
+    ineq = np.vstack([Gs, Us]) if (Gs.shape[0] or n_ub) else np.zeros((0, ns))
+    ineq_rhs = np.concatenate([hs, us])
+    n_ineq, n_eq = ineq.shape[0], As.shape[0]
+    nrows = n_ineq + n_eq
+    n_slack = n_ineq
+
+    # tableau columns: [standard vars | slacks | artificials | rhs]
+    body = np.zeros((nrows, ns + n_slack))
+    rhs = np.concatenate([ineq_rhs, bs])
+    body[:n_ineq, :ns] = ineq
+    body[n_ineq:, :ns] = As
+    body[:n_ineq, ns:ns + n_slack] = np.eye(n_ineq)
+    neg = rhs < 0
+    body[neg] *= -1.0
+    rhs = np.abs(rhs)
+
+    basis = [-1] * nrows
+    art_cols = []
+    for r in range(nrows):
+        if r < n_ineq and not neg[r]:
+            basis[r] = ns + r          # slack is basic
+        else:
+            art_cols.append(r)
+    n_art = len(art_cols)
+    tab = np.zeros((nrows + 1, ns + n_slack + n_art + 1))
+    tab[:-1, : ns + n_slack] = body
+    tab[:-1, -1] = rhs
+    for k, r in enumerate(art_cols):
+        tab[r, ns + n_slack + k] = 1.0
+        basis[r] = ns + n_slack + k
+
+    ncols = ns + n_slack + n_art
+    if n_art:
+        # phase 1: minimize the sum of artificials
+        tab[-1, ns + n_slack:ncols] = 1.0
+        for r in range(nrows):
+            if basis[r] >= ns + n_slack:
+                tab[-1] -= tab[r]
+        reference_run_simplex(tab, basis, ncols)
+        if tab[-1, -1] < -1e-7:
+            raise InfeasibleError("phase-1 optimum positive: no feasible point")
+        # drive leftover zero-level artificials out of the basis; a row with
+        # no real pivot candidate is redundant and gets dropped
+        redundant = []
+        for r in range(nrows):
+            if basis[r] >= ns + n_slack:
+                row = tab[r, : ns + n_slack]
+                nz = np.flatnonzero(np.abs(row) > lp._TOL)
+                if nz.size:
+                    reference_pivot(tab, basis, r, int(nz[0]))
+                else:
+                    redundant.append(r)
+        if redundant:
+            keep = [r for r in range(nrows) if r not in redundant]
+            tab = tab[keep + [nrows]]
+            basis = [basis[r] for r in keep]
+            nrows = len(keep)
+
+    # phase 2: drop artificial columns, install the real objective
+    tab = np.hstack([tab[:, : ns + n_slack], tab[:, -1:]])
+    tab[-1, :] = 0.0
+    for k, (j, s, _) in enumerate(cols):
+        tab[-1, k] = s * c[j]
+    for r in range(nrows):
+        if tab[-1, basis[r]] != 0.0:
+            tab[-1] -= tab[-1, basis[r]] * tab[r]
+    reference_run_simplex(tab, basis, ns + n_slack)
+
+    xs = np.zeros(ns)
+    for r in range(nrows):
+        if basis[r] < ns:
+            xs[basis[r]] = tab[r, -1]
+    x = shift.copy()
+    for k, (j, s, _) in enumerate(cols):
+        x[j] += s * xs[k] if s > 0 else -xs[k]
+    return x, float(c @ x)
+
+
+def reference_eqp_step(Qr, g, M, ridge):
+    """Exact minimizer step of min 1/2 p'Qr p + g'p s.t. M p = 0.
+
+    Null-space method: reduce onto an orthonormal null basis of M and solve
+    the (positive definite, thanks to the ridge) reduced system by a
+    symmetric eigendecomposition.  Returns (p, multipliers-for-M-rows)."""
+    n = g.size
+    if M.shape[0]:
+        _, s, Vt = np.linalg.svd(M, full_matrices=True)
+        r = int(np.sum(s > 1e-10 * max(1.0, s[0] if s.size else 0.0)))
+        Z = Vt[r:].T
+    else:
+        Z = np.eye(n)
+    if Z.shape[1] == 0:
+        p = np.zeros(n)
+    else:
+        H = Z.T @ Qr @ Z
+        H = (H + H.T) / 2.0
+        w, V = np.linalg.eigh(H)
+        w = np.maximum(w, 0.5 * ridge)
+        gz = V.T @ (Z.T @ -g)
+        # near-flat modes amplify gradient noise by 1/ridge; move along them
+        # only when the gradient component is real
+        atol = 1e-10 * (1.0 + float(np.max(np.abs(g))))
+        keep = (w > 2.0 * ridge) | (np.abs(gz) > atol)
+        u = np.where(keep, gz / w, 0.0)
+        p = Z @ (V @ u)
+    if M.shape[0]:
+        mults, *_ = np.linalg.lstsq(M.T, -(g + Qr @ p), rcond=None)
+    else:
+        mults = np.zeros(0)
+    return p, mults
+
+
+def reference_phase1(c_dim, G, h, A, b):
+    lp = LpProblem(c=np.zeros(c_dim), G=G if G.size else None, h=h if h.size else None,
+                   A=A if A.size else None, b=b if b.size else None)
+    x, _ = reference_solve_lp(lp)
+    return x
+
+
+def reference_independent_tight_rows(G, h, A, x, tol):
+    """Indices of rows tight at x, added only while they increase the rank."""
+    tight = np.flatnonzero(np.abs(G @ x - h) <= tol) if G.size else np.array([], dtype=int)
+    chosen = []
+    stack = A.copy() if A.size else np.zeros((0, x.size))
+    for r in tight:
+        cand = np.vstack([stack, G[r]])
+        if np.linalg.matrix_rank(cand, tol=1e-10) > np.linalg.matrix_rank(stack, tol=1e-10):
+            chosen.append(int(r))
+            stack = cand
+        if stack.shape[0] >= x.size:
+            break
+    return chosen
+
+
+def reference_solve_qp(p, x0=None, active0=None):
+    """The active-set loop that rebuilt its null basis, reduced Hessian and
+    multipliers at every step, kept verbatim (with its helpers above) as the
+    oracle of solve_qp's iterates; only the problem folding is the module's
+    own."""
+    Q, c, G, h, A, b = qp._fold(p)
+    n = c.size
+    ridge = qp._RIDGE * (1.0 + (np.max(np.abs(Q)) if Q.size else 0.0))
+    Qr = Q + ridge * np.eye(n)
+
+    if x0 is not None:
+        x = np.asarray(x0, dtype=np.float64).copy()
+        viol = 0.0
+        if G.size:
+            viol = max(viol, float(np.max(G @ x - h, initial=0.0)))
+        if A.size:
+            viol = max(viol, float(np.max(np.abs(A @ x - b), initial=0.0)))
+        if viol > 1e-7:
+            x = reference_phase1(n, G, h, A, b)
+    else:
+        x = reference_phase1(n, G, h, A, b)
+
+    if active0 is not None:
+        W = [int(r) for r in active0 if abs(G[r] @ x - h[r]) <= 1e-7]
+    else:
+        W = reference_independent_tight_rows(G, h, A, x, 1e-9)
+
+    n_eq = A.shape[0]
+    max_iter = 50 + 6 * (n + G.shape[0])
+    for it in range(max_iter):
+        g = Qr @ x + c
+        M = np.vstack([A, G[W]]) if (n_eq or W) else np.zeros((0, n))
+        step, mults = reference_eqp_step(Qr, g, M, ridge)
+
+        if np.max(np.abs(step), initial=0.0) <= 1e-10 * (1.0 + np.max(np.abs(x))):
+            lam = mults[n_eq:]
+            if lam.size == 0 or np.min(lam) >= -1e-9:
+                break
+            drop = int(np.argmin(lam))
+            W.pop(drop)
+            continue
+
+        # ratio test against rows outside the working set
+        alpha, block = 1.0, -1
+        if G.size:
+            outside = np.setdiff1d(np.arange(G.shape[0]), W, assume_unique=False)
+            if outside.size:
+                adv = G[outside] @ step
+                mask = adv > 1e-12
+                if mask.any():
+                    slack = h[outside[mask]] - G[outside[mask]] @ x
+                    ratios = np.maximum(slack, 0.0) / adv[mask]
+                    j = int(np.argmin(ratios))
+                    if ratios[j] < alpha:
+                        alpha = float(ratios[j])
+                        block = int(outside[mask][j])
+        x = x + alpha * step
+        if block >= 0:
+            W.append(block)
+    else:
+        raise NumericalError("active-set iteration limit exceeded")
+
+    # a flat descent direction only stops at the ridge scale; treat that as
+    # an unbounded objective (legitimate desk-scale solutions are far smaller)
+    if np.max(np.abs(x)) > 1e-3 / ridge:
+        raise UnboundedError("solution norm blew up; objective likely unbounded")
+
+    # final KKT verification on the original (un-ridged) problem
+    feas = float(np.max(G @ x - h, initial=0.0)) if G.size else 0.0
+    if A.size:
+        feas = max(feas, float(np.max(np.abs(A @ x - b))))
+    g0 = Q @ x + c
+    M = np.vstack([A, G[W]]) if (n_eq or W) else np.zeros((0, n))
+    if M.size:
+        mults, *_ = np.linalg.lstsq(M.T, -g0, rcond=None)
+        stat = float(np.max(np.abs(g0 + M.T @ mults)))
+    else:
+        stat = float(np.max(np.abs(g0), initial=0.0))
+    scale = 1.0 + float(np.max(np.abs(c), initial=0.0))
+    if feas > 1e-6 * scale or stat > 1e-6 * scale:
+        raise NumericalError(
+            f"KKT check failed: feasibility {feas:.2e}, stationarity {stat:.2e}"
+        )
+    obj = float(0.5 * x @ Q @ x + c @ x)
+    return qp.QpResult(x=x, objective=obj, active=tuple(sorted(W)), iterations=it + 1)
+
+
+def _bits(v):
+    return np.asarray(v, dtype=np.float64).view(np.int64).tolist()
+
+
+def _outcome(solve, *args, **kwargs):
+    """A solver's result as comparable bits, or the type of its error."""
+    try:
+        res = solve(*args, **kwargs)
+    except SolverError as exc:
+        return type(exc)
+    if isinstance(res, qp.QpResult):
+        return _bits(res.x), _bits(res.objective), res.active, res.iterations
+    x, obj = res
+    return _bits(x), _bits(obj)
+
+
+def test_pivot_bytes_match_reference_with_exact_and_signed_zeros():
+    rng = np.random.default_rng(20261018)
+    for case in range(200):
+        rows, cols = int(rng.integers(2, 40)), int(rng.integers(2, 30))
+        tab = rng.normal(size=(rows, cols))
+        # exact zeros, negative zeros and rounded (tied) entries in the
+        # pivot column and elsewhere
+        tab[rng.random((rows, cols)) < 0.4] = 0.0
+        tab[rng.random((rows, cols)) < 0.1] = -0.0
+        if case % 3 == 0:
+            tab = np.round(tab, 1)
+        col = int(rng.integers(cols))
+        row = int(rng.integers(rows))
+        tab[row, col] = rng.choice([1.0, -2.5, 0.3])
+        basis = list(rng.integers(0, cols, size=rows))
+        ref_tab, ref_basis = tab.copy(), list(basis)
+        reference_pivot(ref_tab, ref_basis, row, col)
+        lp._pivot(tab, basis, row, col)
+        assert tab.tobytes() == ref_tab.tobytes(), case
+        assert basis == ref_basis, case
+
+
+def _random_lp(rng, case):
+    """A seeded LP; the case index cycles through sparse rows (exact zeros
+    in the pivot columns), equalities, free and one-sided variables, and
+    infeasible and unbounded problems."""
+    n = int(rng.integers(2, 9))
+    k = int(rng.integers(1, 7))
+    G = rng.normal(size=(k, n))
+    if case % 2 == 0:
+        G[rng.random((k, n)) < 0.5] = 0.0
+    if case % 3 == 0:
+        G = np.round(G)
+    x_feas = rng.uniform(-1.0, 1.0, size=n)
+    h = G @ x_feas + rng.uniform(0.0, 1.0, size=k)
+    c = rng.normal(size=n)
+    lb, ub = -2.0 * np.ones(n), 2.0 * np.ones(n)
+    A = b = None
+    if case % 4 == 1:
+        A = rng.normal(size=(1, n))
+        b = A @ x_feas
+    if case % 5 == 2:      # a free (split) variable and a one-sided one
+        lb[0], ub[0], ub[1] = -np.inf, np.inf, np.inf
+    if case % 7 == 3:      # unbounded: a free direction that lowers c'x
+        lb[:], ub[:] = -np.inf, np.inf
+        G = np.zeros((0, n))
+        h = np.zeros(0)
+        A = b = None
+    if case % 11 == 4:     # infeasible: contradicting rows
+        e0 = np.eye(n)[:1]
+        G = np.vstack([G, e0, -e0])
+        h = np.concatenate([h, [-5.0], [-5.0]])
+    return LpProblem(c=c, G=G, h=h, A=A, b=b, lb=lb, ub=ub)
+
+
+def _recorded_calls(fit, ds, cfg, targets):
+    """(name, args, kwargs) of every call to the (module, name) targets
+    during ``fit(ds, cfg)``."""
+    calls = []
+    with pytest.MonkeyPatch.context() as patch:
+        for module, name in targets:
+            def record(*args, _real=getattr(module, name), _name=name, **kwargs):
+                calls.append((_name, args, kwargs))
+                return _real(*args, **kwargs)
+            patch.setattr(module, name, record)
+        fit(ds, cfg)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def subcod_polish_calls():
+    """SubCod's polishing QPs and flip LPs at its benchmark shape (m=28,
+    M=10 sub-concepts), recorded from one fit."""
+    ds, _ = bench.generate(bench.SynthSpec(T=2, d=4, m=28, n_min=2, n_max=6,
+                                           spread=2.0, seed=7))
+    return _recorded_calls(subcod.fit, ds, SubCodConfig(M=10, seed=1),
+                           [(subcod, "solve_lp"), (subcod, "solve_qp")])
+
+
+def test_lp_outcomes_bit_identical_to_reference():
+    rng = np.random.default_rng(20261019)
+    kinds = set()
+    for case in range(150):
+        p = _random_lp(rng, case)
+        ref = _outcome(reference_solve_lp, p)
+        assert _outcome(solve_lp, p) == ref, case
+        kinds.add(ref if isinstance(ref, type) else "optimal")
+    assert kinds == {"optimal", InfeasibleError, UnboundedError}
+
+
+def test_lp_bland_rule_bit_identical_to_reference(monkeypatch):
+    monkeypatch.setattr(lp, "_BLAND_AFTER", 0)
+    rng = np.random.default_rng(20261020)
+    for case in range(60):
+        p = _random_lp(rng, case)
+        assert _outcome(solve_lp, p) == _outcome(reference_solve_lp, p), case
+
+
+def test_subcod_polish_lps_bit_identical_to_reference(subcod_polish_calls):
+    lps = [args[0] for name, args, _ in subcod_polish_calls if name == "solve_lp"]
+    assert lps and lps[0].c.size == 28 * 10 + 28
+    for p in lps:
+        assert _outcome(solve_lp, p) == _outcome(reference_solve_lp, p)
+
+
+def _random_qp(rng, case):
+    """A seeded convex QP with a start; the case index cycles through box,
+    general inequality and equality constraints, semidefinite Q, warm
+    starts with and without an active set, and infeasible and unbounded
+    problems.  Returns (problem, x0, active0)."""
+    n = int(rng.integers(1, 9))
+    B = rng.normal(size=(n, n))
+    Q = B @ B.T + (0.1 * np.eye(n) if case % 3 else 0.0)
+    if case % 5 == 0:
+        Q[:, -1] = Q[-1, :] = 0.0          # a flat direction
+    c = rng.normal(size=n)
+    kwargs = {"lb": -np.ones(n), "ub": np.ones(n)}
+    if case % 2 == 1:
+        k = int(rng.integers(1, 6))
+        G = rng.normal(size=(k, n))
+        G[rng.random((k, n)) < 0.3] = 0.0
+        kwargs.update(G=G, h=G @ rng.uniform(-0.5, 0.5, size=n) + rng.uniform(0.0, 0.5, size=k))
+    if case % 4 == 2:
+        A = rng.normal(size=(1, n))
+        kwargs.update(A=A, b=A @ rng.uniform(-0.5, 0.5, size=n))
+    if case % 9 == 4:      # infeasible box
+        kwargs.update(lb=np.ones(n), ub=-np.ones(n))
+    if case % 13 == 6:     # unbounded: linear cost along a flat, free direction
+        Q = np.zeros((n, n))
+        kwargs = {"ub": np.ones(n)}
+        c = np.ones(n)
+    p = QpProblem(Q=Q, c=c, **kwargs)
+    x0 = active0 = None
+    if case % 3 == 1:
+        x0 = np.zeros(n)
+    if case % 6 == 1:
+        cold = _outcome(solve_qp, p)
+        if not isinstance(cold, type):
+            active0 = cold[2]
+    return p, x0, active0
+
+
+def test_qp_outcomes_bit_identical_to_reference():
+    rng = np.random.default_rng(20261021)
+    kinds = set()
+    for case in range(200):
+        p, x0, active0 = _random_qp(rng, case)
+        ref = _outcome(reference_solve_qp, p, x0=x0, active0=active0)
+        assert _outcome(solve_qp, p, x0=x0, active0=active0) == ref, case
+        kinds.add(ref if isinstance(ref, type) else "optimal")
+    assert kinds == {"optimal", InfeasibleError, UnboundedError}
+
+
+def test_subcod_polish_qps_bit_identical_to_reference(subcod_polish_calls):
+    qps = [(args, kwargs) for name, args, kwargs in subcod_polish_calls if name == "solve_qp"]
+    assert qps and qps[0][0][0].c.size == 10 + 1 + 28
+    for args, kwargs in qps:
+        assert (_outcome(solve_qp, *args, **kwargs)
+                == _outcome(reference_solve_qp, *args, **kwargs))
+
+
+def test_dmimlsvm_restricted_qps_bit_identical_to_reference():
+    ds, _ = bench.generate(bench.SynthSpec(T=3, d=4, m=8, n_min=1, n_max=4,
+                                           spread=1.5, seed=3))
+    calls = _recorded_calls(dmimlsvm.fit, ds, DMimlConfig(cccp_max_iters=2, seed=1),
+                            [(dmimlsvm, "solve_qp")])
+    # the cutting-plane loop warm-starts each restricted QP from its last point
+    assert len(calls) > 10 and all(kwargs.get("x0") is not None for _, _, kwargs in calls)
+    for _, args, kwargs in calls:
+        assert (_outcome(solve_qp, *args, **kwargs)
+                == _outcome(reference_solve_qp, *args, **kwargs))

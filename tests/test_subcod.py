@@ -5,6 +5,8 @@ from miml.core import Bag, MimlDataset
 from miml.subcod import (
     GmmModel,
     SubCodConfig,
+    _em_once,
+    _regularize,
     assign_subconcepts,
     derive_label_vectors,
     em_fit_gmm,
@@ -211,3 +213,97 @@ def test_fit_recovers_planted_subconcepts(rng):
     planted = np.array(planted)
     agree = max(np.mean(assigns == planted), np.mean(assigns == 1 - planted))
     assert agree > 0.8
+
+
+_LOG_2PI = float(np.log(2.0 * np.pi))
+
+
+def reference_component_log_pdf(model, X):
+    """(N, M) log densities of every point under every component."""
+    X = np.asarray(X, dtype=np.float64)
+    N, d = X.shape
+    out = np.empty((N, model.M))
+    for k in range(model.M):
+        chol = np.linalg.cholesky(model.covs[k])
+        diff = X - model.means[k]
+        sol = np.linalg.solve(chol, diff.T)
+        maha = np.sum(sol * sol, axis=0)
+        logdet = 2.0 * np.sum(np.log(np.diag(chol)))
+        out[:, k] = -0.5 * (d * _LOG_2PI + logdet + maha)
+    return out
+
+
+def reference_responsibilities(model, X):
+    """(N, M) row-stochastic posterior component weights."""
+    logp = reference_component_log_pdf(model, X) + np.log(model.weights)[None, :]
+    mx = logp.max(axis=1, keepdims=True)
+    p = np.exp(logp - mx)
+    return p / p.sum(axis=1, keepdims=True)
+
+
+def reference_log_likelihood(model, X):
+    logp = reference_component_log_pdf(model, X) + np.log(model.weights)[None, :]
+    mx = logp.max(axis=1)
+    return float(np.sum(mx + np.log(np.exp(logp - mx[:, None]).sum(axis=1))))
+
+
+def reference_em_once(X, M, rng, max_iters, tol):
+    """The EM run that scored every model's log-densities twice (once for
+    its log-likelihood, once for the next E-step), one component at a time,
+    kept verbatim with the three scorers above as the oracle of _em_once's
+    iterates."""
+    N, d = X.shape
+    centers = X[rng.choice(N, size=M, replace=False)]
+    base_cov = _regularize(np.atleast_2d(np.cov(X.T)) if N > 1 else np.eye(d))
+    model = GmmModel(means=centers.copy(),
+                     covs=np.repeat(base_cov[None, :, :], M, axis=0),
+                     weights=np.full(M, 1.0 / M))
+    history = [reference_log_likelihood(model, X)]
+    for _ in range(max_iters):
+        gamma_ik = reference_responsibilities(model, X)
+        Nk = gamma_ik.sum(axis=0)
+        means = (gamma_ik.T @ X) / Nk[:, None]
+        covs = np.empty((M, d, d))
+        for k in range(M):
+            diff = X - means[k]
+            covs[k] = _regularize((gamma_ik[:, k][:, None] * diff).T @ diff / Nk[k])
+        cand = GmmModel(means=means, covs=covs, weights=Nk / N)
+        ll = reference_log_likelihood(cand, X)
+        if ll < history[-1] - 1e-12:
+            break  # regularizer-induced dip: keep the better parameters
+        model = cand
+        improved = ll - history[-1]
+        history.append(ll)
+        if improved < tol:
+            break
+    model.history = tuple(history)
+    return model
+
+
+def _gmm_bits(model):
+    return [np.asarray(v, dtype=np.float64).tobytes()
+            for v in (model.means, model.covs, model.weights, model.history)]
+
+
+def test_em_iterates_bit_identical_to_reference():
+    rng = np.random.default_rng(20261022)
+    stops = set()
+    for case in range(40):
+        N, d = int(rng.integers(2, 120)), int(rng.integers(1, 10))
+        X = rng.normal(size=(N, d)) * rng.uniform(0.1, 3.0, size=d)
+        if case % 4 == 0:      # duplicated points and near-flat directions
+            X = np.round(X[rng.integers(0, N, size=N)], 1)
+        M = int(rng.integers(1, min(N, 10) + 1))
+        max_iters = (100, 3, 0)[case % 3]
+        tol = (1e-7, 1e-2)[case % 2]
+        seed = int(rng.integers(1 << 30))
+        ref = reference_em_once(X, M, np.random.default_rng(seed), max_iters, tol)
+        got = _em_once(X, M, np.random.default_rng(seed), max_iters, tol)
+        assert _gmm_bits(got) == _gmm_bits(ref), case
+        stops.add(min(len(ref.history) - 1, 1))
+        R = reference_responsibilities(got, X)
+        assert got.responsibilities(X).tobytes() == R.tobytes(), case
+        logp = reference_component_log_pdf(got, X)
+        assert got.component_log_pdf(X).tobytes() == logp.tobytes(), case
+    assert stops == {0, 1}
+
