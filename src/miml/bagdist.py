@@ -80,14 +80,6 @@ def medoid_of_dists(D: np.ndarray, members: Sequence[int]) -> int:
     return int(members[int(np.argmin(sums))])
 
 
-def medoid_of(group: Sequence[Bag]) -> int:
-    """Position in ``group`` of the bag minimizing the Hausdorff distance sum."""
-    if len(group) == 0:
-        raise ValueError("empty group")
-    D = pairwise_hausdorff(group)
-    return int(np.argmin(D.sum(axis=1)))
-
-
 def _assign(D: np.ndarray, medoids: Sequence[int]) -> np.ndarray:
     """Nearest-medoid assignment; a medoid belongs to itself; other ties go
     to the lowest medoid example index."""
@@ -130,10 +122,3 @@ def k_medoids_from_dists(D: np.ndarray, k: int, seed: int,
             best = Clustering(tuple(sorted(medoids)), tuple(int(a) for a in assignment),
                               cost, tuple(history))
     return best
-
-
-def k_medoids(bags: Sequence[Bag], k: int, seed: int,
-              max_iter: int = 100, restarts: int = 1) -> Clustering:
-    """Cluster bags under the Hausdorff distance."""
-    D = pairwise_hausdorff(bags)
-    return k_medoids_from_dists(D, k, seed, max_iter=max_iter, restarts=restarts)

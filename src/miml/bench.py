@@ -173,18 +173,20 @@ def random_split_eval(fit_predict: Callable, ds: MimlDataset, train_fraction: fl
                       runs: int, seed: int) -> EvalSummary:
     """Repeated random train/test partitions.
 
-    ``fit_predict(train_ds, run_seed)`` must return a ``predict(bag) ->
-    LabelScores`` callable; each run trains on its partition and scores the
-    held-out bags on all seven criteria."""
+    ``fit_predict(train_ds, run_seed)`` trains on one partition and returns
+    a batch scorer ``bags -> [LabelScores]`` (one per bag, in order); each
+    run scores its held-out bags with one call and reports all seven
+    criteria.  ``runs`` must be at least 1."""
+    if runs < 1:
+        raise ValueError(f"need at least one run, got runs={runs}")
     require_valid(ds)
     reports = []
     for run in range(runs):
         rng = np.random.default_rng(np.random.SeedSequence((seed, run)))
         tr, te = split_indices(ds.m, train_fraction, rng)
-        predictor = fit_predict(ds.subset(tr), int(seed) * 1009 + run)
+        score = fit_predict(ds.subset(tr), int(seed) * 1009 + run)
         test = ds.subset(te)
-        preds = [predictor(bag) for bag, _ in test.examples]
-        reports.append(compute_report(preds, test.label_sets(), ds.T))
+        reports.append(compute_report(score(test.bags()), test.label_sets(), ds.T))
     mean, std = _aggregate(reports)
     return EvalSummary(tuple(reports), mean, std)
 

@@ -15,8 +15,11 @@ Config keys by learner (flat key=value files):
   subcod      subcod.M, subcod.theta, subcod.C (1.0), subcod.seed,
               subcod.inner_k, subcod.inner_C, subcod.em_iters, subcod.em_tol
 
-eval scores the test file in blocks of 256 bags: each learner's batch scorer
-runs once per block, so memory stays bounded by the block.
+eval and cv score bags only through ``predict_blocks``: one call of the
+learner's batch scorer per block of at most ``EVAL_BLOCK`` = 256 bags, so
+memory stays bounded by the block.  For cv, ``make_fit_predict`` gives
+``bench.random_split_eval`` a ``fit_predict(train_ds, run_seed)`` that
+returns such a scorer, ``bags -> [LabelScores]``.
 
 A key under the learner's own prefix that names no setting, or a key with
 no learner prefix, is a data error; keys under another learner's prefix are
@@ -28,27 +31,27 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 
 import argparse
 import dataclasses
+import functools
 import sys
 from dataclasses import dataclass
-from typing import Callable, Dict
+from typing import Callable, Dict, List, Sequence
 
 from . import bench, dataio, dmimlsvm, insdif, metrics, mimlboost, mimlsvm, subcod
-from .core import MimlDataset
+from .core import Bag, MimlDataset
 from .solvers import SolverError
 
 
-# query bags per batch-scorer call in ``miml eval``
+# query bags per batch-scorer call
 EVAL_BLOCK = 256
 
 
 @dataclass(frozen=True)
 class LearnerEntry:
     config_cls: type
+    model_cls: type         # to_payload() / from_payload(p) for model files
     prefix: str             # config keys are <prefix>.<field>
     fit: Callable
     predict: Callable       # batch scorer: (model, bags) -> [LabelScores]
-    to_payload: Callable
-    from_payload: Callable
 
     @property
     def seed_key(self) -> str:
@@ -62,21 +65,16 @@ class LearnerEntry:
 
 
 REGISTRY: Dict[str, LearnerEntry] = {
-    "mimlboost": LearnerEntry(
-        mimlboost.BoostConfig, "boost", mimlboost.fit, mimlboost.predict_many,
-        mimlboost.BoostModel.to_payload, mimlboost.BoostModel.from_payload),
-    "mimlsvm": LearnerEntry(
-        mimlsvm.MimlSvmConfig, "mimlsvm", mimlsvm.fit, mimlsvm.predict_many,
-        mimlsvm.MimlSvmModel.to_payload, mimlsvm.MimlSvmModel.from_payload),
-    "dmimlsvm": LearnerEntry(
-        dmimlsvm.DMimlConfig, "dmiml", dmimlsvm.fit, dmimlsvm.predict_many,
-        dmimlsvm.DMimlSvmModel.to_payload, dmimlsvm.DMimlSvmModel.from_payload),
-    "insdif": LearnerEntry(
-        insdif.InsDifConfig, "insdif", insdif.fit, insdif.predict_many,
-        insdif.InsDifModel.to_payload, insdif.InsDifModel.from_payload),
-    "subcod": LearnerEntry(
-        subcod.SubCodConfig, "subcod", subcod.fit, subcod.predict_many,
-        subcod.SubCodModel.to_payload, subcod.SubCodModel.from_payload),
+    "mimlboost": LearnerEntry(mimlboost.BoostConfig, mimlboost.BoostModel, "boost",
+                              mimlboost.fit, mimlboost.predict_many),
+    "mimlsvm": LearnerEntry(mimlsvm.MimlSvmConfig, mimlsvm.MimlSvmModel, "mimlsvm",
+                            mimlsvm.fit, mimlsvm.predict_many),
+    "dmimlsvm": LearnerEntry(dmimlsvm.DMimlConfig, dmimlsvm.DMimlSvmModel, "dmiml",
+                             dmimlsvm.fit, dmimlsvm.predict_many),
+    "insdif": LearnerEntry(insdif.InsDifConfig, insdif.InsDifModel, "insdif",
+                           insdif.fit, insdif.predict_many),
+    "subcod": LearnerEntry(subcod.SubCodConfig, subcod.SubCodModel, "subcod",
+                           subcod.fit, subcod.predict_many),
 }
 
 
@@ -88,15 +86,25 @@ def fit_with_config(algo: str, ds: MimlDataset, cfg_map: Dict[str, str]):
     return entry.fit(ds, cfg), cfg
 
 
+def predict_blocks(algo: str, model, bags: Sequence[Bag]) -> List[metrics.LabelScores]:
+    """Scores of ``bags`` in order, from one ``REGISTRY[algo].predict`` call
+    per block of at most ``EVAL_BLOCK`` bags."""
+    predict = REGISTRY[algo].predict
+    preds = []
+    for start in range(0, len(bags), EVAL_BLOCK):
+        preds.extend(predict(model, bags[start:start + EVAL_BLOCK]))
+    return preds
+
+
 def make_fit_predict(algo: str, cfg_map: Dict[str, str]):
-    """Adapter for bench.random_split_eval: per-run seeded fit."""
-    entry = REGISTRY[algo]
+    """``fit_predict(train_ds, run_seed)`` for bench.random_split_eval: fits
+    ``algo`` (``run_seed`` is its seed unless ``cfg_map`` sets one) and
+    returns the batch scorer ``bags -> [LabelScores]`` of the fitted model."""
+    seed_key = REGISTRY[algo].seed_key
 
     def fit_predict(train_ds, run_seed):
-        local = dict(cfg_map)
-        local.setdefault(entry.seed_key, str(run_seed))
-        model, _ = fit_with_config(algo, train_ds, local)
-        return lambda bag: entry.predict(model, [bag])[0]
+        model, _ = fit_with_config(algo, train_ds, {seed_key: str(run_seed), **cfg_map})
+        return functools.partial(predict_blocks, algo, model)
 
     return fit_predict
 
@@ -176,7 +184,7 @@ def _cmd_train(args, out) -> int:
     env = dataio.ModelEnvelope(
         algorithm=args.algo,
         hyper=dataclasses.asdict(cfg),
-        payload=REGISTRY[args.algo].to_payload(model),
+        payload=model.to_payload(),
     )
     with open(args.model, "w", encoding="utf-8", newline="") as fh:
         fh.write(dataio.serialize_model(env))
@@ -187,23 +195,24 @@ def _cmd_train(args, out) -> int:
 
 def _cmd_eval(args, out) -> int:
     env = dataio.parse_model(_read(args.model))
+    if env.algorithm not in REGISTRY:
+        raise dataio.DataFormatError(1, f"unknown algorithm tag {env.algorithm!r}")
     ds = dataio.parse_dataset(_read(args.data))
-    entry = REGISTRY[env.algorithm]
     try:
-        model = entry.from_payload(env.payload)
+        model = REGISTRY[env.algorithm].model_cls.from_payload(env.payload)
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise dataio.DataFormatError(
             2, f"bad {env.algorithm} model payload: {exc!r}") from None
-    bags = ds.bags()
-    preds = []
-    for start in range(0, len(bags), EVAL_BLOCK):
-        preds.extend(entry.predict(model, bags[start:start + EVAL_BLOCK]))
+    preds = predict_blocks(env.algorithm, model, ds.bags())
     report = metrics.compute_report(preds, ds.label_sets(), ds.T)
     _print_report_table(report, out)
     return 0
 
 
 def _cmd_cv(args, out) -> int:
+    if args.against and args.runs < 2:
+        raise ValueError(f"--against needs --runs >= 2 for the paired t-test, "
+                         f"got {args.runs}")
     ds = dataio.parse_dataset(_read(args.data))
     cfg_map = _load_config(args.config)
     summary = bench.random_split_eval(

@@ -56,6 +56,15 @@ class Bag:
     def __hash__(self):
         return hash((self.id, self.feats.shape))
 
+    def to_payload(self) -> dict:
+        """The bag as a model-file entry (models store medoid or training
+        bags this way)."""
+        return {"id": self.id, "feats": self.feats.tolist()}
+
+    @staticmethod
+    def from_payload(p: dict) -> "Bag":
+        return Bag(p["id"], np.asarray(p["feats"]))
+
 
 @dataclass(frozen=True)
 class MimlDataset:

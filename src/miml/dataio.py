@@ -25,7 +25,6 @@ from .core import Bag, MimlDataset, require_valid
 
 DATASET_VERSION = "miml/1"
 MODEL_VERSION = "miml-model/1"
-KNOWN_ALGORITHMS = ("mimlboost", "mimlsvm", "dmimlsvm", "insdif", "subcod")
 
 _NAME_FORBIDDEN = set(" \t|,;")
 
@@ -137,7 +136,8 @@ def parse_dataset(text: str) -> MimlDataset:
 
 @dataclass(frozen=True)
 class ModelEnvelope:
-    """Self-describing model container shared by all five learners."""
+    """Self-describing model container shared by all five learners; the
+    loader (``miml eval``) checks the algorithm tag against its registry."""
 
     algorithm: str
     hyper: dict
@@ -146,8 +146,6 @@ class ModelEnvelope:
 
 
 def serialize_model(env: ModelEnvelope) -> str:
-    if env.algorithm not in KNOWN_ALGORITHMS:
-        raise ValueError(f"unknown algorithm tag {env.algorithm!r}")
     if env.version != MODEL_VERSION:
         raise ValueError(f"unsupported envelope version {env.version!r}")
     body = json.dumps({"hyper": env.hyper, "payload": env.payload},
@@ -160,9 +158,6 @@ def parse_model(text: str) -> ModelEnvelope:
     fields = head.split()
     if len(fields) != 2 or fields[0] != MODEL_VERSION:
         raise DataFormatError(1, f"expected header '{MODEL_VERSION} <algo>'")
-    algo = fields[1]
-    if algo not in KNOWN_ALGORITHMS:
-        raise DataFormatError(1, f"unknown algorithm tag {algo!r}")
     try:
         data = json.loads(body)
     except json.JSONDecodeError as exc:
@@ -172,7 +167,7 @@ def parse_model(text: str) -> ModelEnvelope:
     for key in ("hyper", "payload"):
         if not isinstance(data.get(key), dict):
             raise DataFormatError(2, f"model body needs a {key!r} object")
-    return ModelEnvelope(algorithm=algo, hyper=data["hyper"], payload=data["payload"])
+    return ModelEnvelope(algorithm=fields[1], hyper=data["hyper"], payload=data["payload"])
 
 
 def parse_config(text: str) -> Dict[str, str]:

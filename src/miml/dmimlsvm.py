@@ -60,7 +60,7 @@ class DMimlSvmModel:
             "A": self.A.tolist(),
             "biases": self.biases.tolist(),
             "kernel": self.kernel.to_payload(),
-            "train_bags": [{"id": b.id, "feats": b.feats.tolist()} for b in self.train_bags],
+            "train_bags": [b.to_payload() for b in self.train_bags],
             "tau": None if self.tau is None else self.tau.tolist(),
         }
 
@@ -70,14 +70,9 @@ class DMimlSvmModel:
             A=np.asarray(p["A"], dtype=np.float64),
             biases=np.asarray(p["biases"], dtype=np.float64),
             kernel=KernelSpec.from_payload(p["kernel"]),
-            train_bags=tuple(Bag(b["id"], np.asarray(b["feats"])) for b in p["train_bags"]),
+            train_bags=tuple(Bag.from_payload(b) for b in p["train_bags"]),
             tau=None if p["tau"] is None else np.asarray(p["tau"], dtype=np.float64),
         )
-
-    def __eq__(self, other):
-        if not isinstance(other, DMimlSvmModel):
-            return NotImplemented
-        return self.to_payload() == other.to_payload()
 
 
 # --------------------------------------------------------------- pieces
@@ -582,11 +577,6 @@ def _decision_matrix(model: DMimlSvmModel, bags: Sequence[Bag]) -> np.ndarray:
     return K.T @ model.A + model.biases
 
 
-def decision_values(model: DMimlSvmModel, bag: Bag) -> np.ndarray:
-    """f_t(X*) of one bag, for every label t."""
-    return _decision_matrix(model, [bag])[0]
-
-
 def predict_many(model: DMimlSvmModel, bags: Sequence[Bag]) -> List[LabelScores]:
     """Positive-score labels with an argmax fallback for an empty set."""
     out = []
@@ -596,7 +586,3 @@ def predict_many(model: DMimlSvmModel, bags: Sequence[Bag]) -> List[LabelScores]
             predicted = frozenset({int(np.argmax(scores))})
         out.append(LabelScores(scores, predicted))
     return out
-
-
-def predict(model: DMimlSvmModel, bag: Bag) -> LabelScores:
-    return predict_many(model, [bag])[0]

@@ -47,7 +47,7 @@ class InsDifModel:
     def to_payload(self) -> dict:
         return {
             "prototypes": self.prototypes.tolist(),
-            "medoids": [{"id": b.id, "feats": b.feats.tolist()} for b in self.medoids],
+            "medoids": [b.to_payload() for b in self.medoids],
             "W": self.W.tolist(),
             "fallback": self.fallback,
         }
@@ -56,15 +56,10 @@ class InsDifModel:
     def from_payload(p: dict) -> "InsDifModel":
         return InsDifModel(
             prototypes=np.asarray(p["prototypes"], dtype=np.float64),
-            medoids=tuple(Bag(b["id"], np.asarray(b["feats"])) for b in p["medoids"]),
+            medoids=tuple(Bag.from_payload(b) for b in p["medoids"]),
             W=np.asarray(p["W"], dtype=np.float64),
             fallback=bool(p["fallback"]),
         )
-
-    def __eq__(self, other):
-        if not isinstance(other, InsDifModel):
-            return NotImplemented
-        return self.to_payload() == other.to_payload()
 
 
 def compute_prototypes(X: np.ndarray, label_sets: Sequence[frozenset], T: int) -> np.ndarray:
@@ -140,8 +135,3 @@ def predict_many(model: InsDifModel, bags: Sequence[Bag]) -> List[LabelScores]:
             predicted = tcriterion(scores)
         out.append(LabelScores(scores, predicted))
     return out
-
-
-def predict(model: InsDifModel, x: np.ndarray) -> LabelScores:
-    """Prediction for one instance vector x."""
-    return predict_many(model, [Bag("*", np.asarray(x, dtype=np.float64).reshape(1, -1))])[0]

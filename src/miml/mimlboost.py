@@ -101,11 +101,6 @@ class BoostModel:
         return BoostModel(rounds=rounds, T=int(p["T"]), d=int(p["d"]),
                           config=BoostConfig(base=p["base"]))
 
-    def __eq__(self, other):
-        if not isinstance(other, BoostModel):
-            return NotImplemented
-        return self.to_payload() == other.to_payload()
-
 
 def _augment(feats: np.ndarray, label: int, T: int) -> np.ndarray:
     block = np.zeros((feats.shape[0], T))
@@ -168,13 +163,6 @@ def _train_weak(cfg: BoostConfig, X, y, w, gram):
         return SvmWeak(train_weighted_svm(prob, spec, tol=1e-3,
                                           max_iter=40 * X.shape[0], gram=gram))
     raise ValueError(f"unknown base learner {cfg.base!r}")
-
-
-def bag_error(weak, bag: MilBag) -> float:
-    """Fraction of a bag's instances the instance-level predictor gets wrong."""
-    if bag.feats.shape[0] == 0:
-        raise ValueError("empty bag")
-    return float(np.mean(weak.predict_sign(bag.feats) != bag.sign))
 
 
 def fit(ds: MimlDataset, cfg: BoostConfig = BoostConfig()) -> BoostModel:
@@ -240,7 +228,3 @@ def predict_many(model: BoostModel, bags: Sequence[Bag]) -> List[LabelScores]:
         for weak, c in model.rounds:
             scores[:, v] += c * np.add.reduceat(weak.predict_sign(Xa), offsets[:-1])
     return [LabelScores(s, frozenset(np.flatnonzero(s > 0).tolist())) for s in scores]
-
-
-def predict(model: BoostModel, bag: Bag) -> LabelScores:
-    return predict_many(model, [bag])[0]

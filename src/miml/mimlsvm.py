@@ -42,7 +42,7 @@ class MimlSvmModel:
 
     def to_payload(self) -> dict:
         return {
-            "medoids": [{"id": b.id, "feats": b.feats.tolist()} for b in self.medoids],
+            "medoids": [b.to_payload() for b in self.medoids],
             "svms": [s.to_payload() for s in self.svms],
             "T": self.T,
             "k": self.k,
@@ -51,16 +51,11 @@ class MimlSvmModel:
     @staticmethod
     def from_payload(p: dict) -> "MimlSvmModel":
         return MimlSvmModel(
-            medoids=tuple(Bag(b["id"], np.asarray(b["feats"])) for b in p["medoids"]),
+            medoids=tuple(Bag.from_payload(b) for b in p["medoids"]),
             svms=tuple(SvmDecision.from_payload(s) for s in p["svms"]),
             T=int(p["T"]),
             k=int(p["k"]),
         )
-
-    def __eq__(self, other):
-        if not isinstance(other, MimlSvmModel):
-            return NotImplemented
-        return self.to_payload() == other.to_payload()
 
 
 def resolve_k(cfg: MimlSvmConfig, m: int) -> int:
@@ -128,7 +123,8 @@ def fit(ds: MimlDataset, cfg: MimlSvmConfig = MimlSvmConfig()) -> MimlSvmModel:
 
 def _holdout_C(ds: MimlDataset, cfg: MimlSvmConfig, D: np.ndarray):
     """C from a 75/25 hold-out; D is the fit's distance matrix over all of
-    ds, so the split's matrices are its sub-matrices."""
+    ds, so the split's matrices are its sub-matrices.  An explicit k larger
+    than the hold-out training subset is clamped to its size."""
     rng = np.random.default_rng(cfg.seed)
     m = ds.m
     if m < 4:
@@ -138,7 +134,7 @@ def _holdout_C(ds: MimlDataset, cfg: MimlSvmConfig, D: np.ndarray):
     cut = min(cut, m - 1)
     sub, hold = perm[:cut], perm[cut:]
     sub_ds = ds.subset(sub)
-    k_sub = min(resolve_k(cfg, len(sub)), len(sub))
+    k_sub = resolve_k(cfg, len(sub)) if cfg.k is None else min(cfg.k, len(sub))
     D_sub = D[np.ix_(sub, sub)]
     clustering = k_medoids_from_dists(D_sub, k_sub, seed=cfg.seed)
     medoid_idx = list(clustering.medoid_indices)
@@ -161,7 +157,3 @@ def predict_many(model: MimlSvmModel, bags: Sequence[Bag]) -> List[LabelScores]:
     vectors; no returned set is empty."""
     Z = pairwise_hausdorff(bags, model.medoids)
     return [LabelScores(s, tcriterion(s)) for s in _decision_matrix(model.svms, Z)]
-
-
-def predict(model: MimlSvmModel, bag: Bag) -> LabelScores:
-    return predict_many(model, [bag])[0]

@@ -39,9 +39,6 @@ class SvmDecision:
             return np.full(X.shape[0], self.bias)
         return self.coef @ instance_gram(self.kernel, self.vectors, X) + self.bias
 
-    def decision_one(self, x) -> float:
-        return float(self.decision(np.asarray(x)[None, :])[0])
-
     def to_payload(self) -> dict:
         return {
             "kernel": self.kernel.to_payload(),

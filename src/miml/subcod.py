@@ -296,11 +296,6 @@ class SubCodModel:
             C=float(p["C"]),
         )
 
-    def __eq__(self, other):
-        if not isinstance(other, SubCodModel):
-            return NotImplemented
-        return self.to_payload() == other.to_payload()
-
 
 def _single_labels(ds: MimlDataset) -> np.ndarray:
     out = []
@@ -380,11 +375,6 @@ def _fit_mappers(c_tilde: np.ndarray, labels: np.ndarray, classes) -> Tuple[SvmD
     return tuple(mappers)
 
 
-def predict_label(model: SubCodModel, bag: Bag) -> int:
-    """Original class of a new bag: inner pseudo-labels -> mapper argmax."""
-    return next(iter(predict(model, bag).predicted))
-
-
 def predict_many(model: SubCodModel, bags: Sequence[Bag]) -> List[LabelScores]:
     """Score view for the evaluation harness: the inner MIML predictions,
     thresholded to +-1 vectors over the sub-concepts, scored by every
@@ -400,7 +390,3 @@ def predict_many(model: SubCodModel, bags: Sequence[Bag]) -> List[LabelScores]:
         scores[list(model.mapper_classes)] = v
         out.append(LabelScores(scores, {model.mapper_classes[int(np.argmax(v))]}))
     return out
-
-
-def predict(model: SubCodModel, bag: Bag) -> LabelScores:
-    return predict_many(model, [bag])[0]

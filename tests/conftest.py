@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from miml.bench import fit_prior
 from miml.core import Bag, MimlDataset
 
 
@@ -18,6 +19,12 @@ def random_dataset(rng, m=6, T=3, d=2, n_max=4):
         labels = frozenset(int(v) for v in rng.choice(T, size=size, replace=False))
         examples.append((bag, labels))
     return MimlDataset(tuple(examples), T=T, d=d)
+
+
+def prior_fit_predict(train_ds, run_seed):
+    """The label-prior baseline as a random_split_eval batch scorer."""
+    prior = fit_prior(train_ds)
+    return lambda bags: [prior.predict(bag) for bag in bags]
 
 
 @pytest.fixture

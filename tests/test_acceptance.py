@@ -6,15 +6,15 @@ import time
 import numpy as np
 import pytest
 
-from miml import bench, dataio, dmimlsvm, insdif, mimlboost, mimlsvm, subcod
-from miml.bagdist import hausdorff, k_medoids, pairwise_hausdorff
+from miml import dataio, dmimlsvm, insdif, mimlboost, mimlsvm, subcod
+from miml.bagdist import hausdorff, k_medoids_from_dists, pairwise_hausdorff
 from miml.bench import SynthSpec, generate, paired_t_test, random_split_eval
 from miml.cli import REGISTRY, fit_with_config, make_fit_predict, run as cli_run
 from miml.core import Bag, MimlDataset
 from miml.kernels import KernelSpec, build_gram
 from miml.metrics import average_f1, compute_report
 
-from conftest import random_bag, random_dataset
+from conftest import prior_fit_predict, random_bag, random_dataset
 from test_dmimlsvm import full_qp_objective
 from test_metrics import oracle_report, random_case
 
@@ -71,10 +71,10 @@ def test_criterion_3_kmedoids():
         bags = [random_bag(rng, 2, n_max=3, ident=f"b{i}")
                 for i in range(int(rng.integers(5, 12)))]
         k = int(rng.integers(1, len(bags) + 1))
-        res = k_medoids(bags, k, seed=seed)
+        D = pairwise_hausdorff(bags)
+        res = k_medoids_from_dists(D, k, seed=seed)
         for x, y in zip(res.cost_history, res.cost_history[1:]):
             ok &= y <= x + 1e-9
-        D = pairwise_hausdorff(bags)
         for i, a in enumerate(res.assignment):
             if i in res.medoid_indices:
                 ok &= a == i
@@ -113,7 +113,7 @@ def test_criterion_4_mimlboost():
         def train_hamming(rounds_used):
             part = mimlboost.BoostModel(rounds=model.rounds[:rounds_used],
                                         T=ds.T, d=ds.d, config=cfg)
-            preds = [mimlboost.predict(part, bag) for bag, _ in ds.examples]
+            preds = mimlboost.predict_many(part, ds.bags())
             return compute_report(preds, ds.label_sets(), ds.T).hamming_loss
 
         if len(model.rounds) >= 1:
@@ -137,7 +137,7 @@ def test_criterion_5_mimlsvm_protocol():
     svm_summary = random_split_eval(
         make_fit_predict("mimlsvm", {"mimlsvm.C": "1.0"}), ds, 0.75, 30, seed=1)
     prior_summary = random_split_eval(
-        lambda train_ds, run_seed: bench.fit_prior(train_ds).predict, ds, 0.75, 30, seed=1)
+        prior_fit_predict, ds, 0.75, 30, seed=1)
     res = paired_t_test(svm_summary.paired_values("hamming_loss"),
                         prior_summary.paired_values("hamming_loss"))
     mean_h = svm_summary.mean.hamming_loss
@@ -295,12 +295,11 @@ def test_criterion_9_persistence(tmp_path):
     model_ok = True
     for algo, entry in REGISTRY.items():
         model, _ = fit_with_config(algo, datasets[algo], configs[algo])
-        env = dataio.ModelEnvelope(algorithm=algo, hyper={},
-                                   payload=entry.to_payload(model))
+        env = dataio.ModelEnvelope(algorithm=algo, hyper={}, payload=model.to_payload())
         t1 = dataio.serialize_model(env)
-        restored = entry.from_payload(dataio.parse_model(t1).payload)
+        restored = entry.model_cls.from_payload(dataio.parse_model(t1).payload)
         t2 = dataio.serialize_model(dataio.ModelEnvelope(
-            algorithm=algo, hyper={}, payload=entry.to_payload(restored)))
+            algorithm=algo, hyper={}, payload=restored.to_payload()))
         model_ok &= t1 == t2
 
     data = tmp_path / "d.miml"

@@ -7,8 +7,8 @@ import pytest
 from miml import _dist
 from miml.bagdist import (
     hausdorff,
-    k_medoids,
-    medoid_of,
+    k_medoids_from_dists,
+    medoid_of_dists,
     pairwise_hausdorff,
 )
 from miml.core import Bag
@@ -149,10 +149,11 @@ def test_peak_memory_is_bounded_by_the_block_budget():
 
 def test_medoid_of():
     bags = [Bag(str(v), [[float(v)]]) for v in (0.0, 1.0, 10.0)]
-    assert medoid_of(bags) == 1
-    assert medoid_of(bags[:1]) == 0
+    D = pairwise_hausdorff(bags)
+    assert medoid_of_dists(D, [0, 1, 2]) == 1
+    assert medoid_of_dists(D, [0]) == 0
     with pytest.raises(ValueError):
-        medoid_of([])
+        medoid_of_dists(D, [])
 
 
 def test_medoid_of_matches_exhaustive(rng):
@@ -161,19 +162,20 @@ def test_medoid_of_matches_exhaustive(rng):
                 for i in range(int(rng.integers(1, 6)))]
         D = pairwise_hausdorff(bags)
         best = min(range(len(bags)), key=lambda i: (D[i].sum(), i))
-        assert medoid_of(bags) == best
+        assert medoid_of_dists(D, range(len(bags))) == best
 
 
 def test_kmedoids_trivial_cases(rng):
     same = [Bag(f"s{i}", [[1.0, 1.0]]) for i in range(4)]
-    res = k_medoids(same, 1, seed=0)
+    res = k_medoids_from_dists(pairwise_hausdorff(same), 1, seed=0)
     assert len(res.medoid_indices) == 1 and res.cost == 0.0
     bags = [random_bag(rng, 2, ident=f"b{i}") for i in range(5)]
-    res = k_medoids(bags, 5, seed=0)
+    D = pairwise_hausdorff(bags)
+    res = k_medoids_from_dists(D, 5, seed=0)
     assert set(res.medoid_indices) == set(range(5))
     assert res.cost == 0.0
     with pytest.raises(ValueError):
-        k_medoids(bags, 6, seed=0)
+        k_medoids_from_dists(D, 6, seed=0)
 
 
 def test_kmedoids_is_fixed_point(rng):
@@ -182,7 +184,7 @@ def test_kmedoids_is_fixed_point(rng):
     for seed in range(8):
         bags = [random_bag(rng, 2, n_max=3, ident=f"b{i}") for i in range(5)]
         D = pairwise_hausdorff(bags)
-        res = k_medoids(bags, 2, seed=seed)
+        res = k_medoids_from_dists(D, 2, seed=seed)
         # nearest-medoid consistency
         for i, a in enumerate(res.assignment):
             if i in res.medoid_indices:
@@ -219,6 +221,6 @@ def test_kmedoids_is_fixed_point(rng):
 
 def test_kmedoids_deterministic(rng):
     bags = [random_bag(rng, 2, ident=f"b{i}") for i in range(10)]
-    r1 = k_medoids(bags, 3, seed=42)
-    r2 = k_medoids(bags, 3, seed=42)
+    r1 = k_medoids_from_dists(pairwise_hausdorff(bags), 3, seed=42)
+    r2 = k_medoids_from_dists(pairwise_hausdorff(bags), 3, seed=42)
     assert r1 == r2

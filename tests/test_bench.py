@@ -6,7 +6,6 @@ from miml.bench import (
     SynthSpec,
     T_CRIT_05,
     expected_base_marginal,
-    fit_prior,
     format_mean_std,
     generate,
     label_means,
@@ -15,6 +14,8 @@ from miml.bench import (
     split_indices,
 )
 from miml.dataio import serialize_dataset
+
+from conftest import prior_fit_predict
 
 
 def test_generator_deterministic():
@@ -81,12 +82,8 @@ def test_random_split_eval_deterministic_and_mean_oracle():
     spec = SynthSpec(T=3, d=3, m=30, seed=4)
     ds, _ = generate(spec)
 
-    def fit_predict(train_ds, run_seed):
-        model = fit_prior(train_ds)
-        return model.predict
-
-    s1 = random_split_eval(fit_predict, ds, 0.75, runs=4, seed=11)
-    s2 = random_split_eval(fit_predict, ds, 0.75, runs=4, seed=11)
+    s1 = random_split_eval(prior_fit_predict, ds, 0.75, runs=4, seed=11)
+    s2 = random_split_eval(prior_fit_predict, ds, 0.75, runs=4, seed=11)
     assert s1 == s2
     vals = np.array([r.hamming_loss for r in s1.reports])
     assert s1.mean.hamming_loss == pytest.approx(vals.mean())

@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from miml import bench, dataio, dmimlsvm, insdif, mimlboost, mimlsvm, subcod
+from miml import bench, cli, dataio, dmimlsvm, insdif, mimlboost, mimlsvm, subcod
 from miml.cli import REGISTRY, run
 from miml.core import Bag, MimlDataset
 from miml.solvers import lp
@@ -243,6 +243,199 @@ def test_train_model_bytes_match_golden(algo, tmp_path):
     data = _synth(tmp_path, "train", spec)
     model = _train(tmp_path, algo, data, config)
     assert hashlib.sha256(model.read_bytes()).hexdigest() == digest
+
+
+# dataset size for `miml cv`; shape and config as in _GOLDEN_SETUP
+_GOLDEN_CV_M = {"mimlboost": 40, "mimlsvm": 80, "dmimlsvm": 16, "insdif": 120, "subcod": 40}
+
+# `miml cv --runs 3 --seed 1` stdout recorded when cv still scored each
+# test bag alone; batch scoring must not move a byte
+_GOLDEN_CV = {
+    'mimlboost': (
+        '           hloss      one-error  coverage   rloss      aveprec    averecl    aveF1    \n'
+        'mimlboost  .156±.019  .133±.153  .400±.100  .117±.126  .931±.071  .867±.076  .895±.044\n'
+        'mimlboost.hloss_mean=0.15555555555555556\n'
+        'mimlboost.hloss_std=0.01924500897298752\n'
+        'mimlboost.one-error_mean=0.13333333333333333\n'
+        'mimlboost.one-error_std=0.15275252316519466\n'
+        'mimlboost.coverage_mean=0.39999999999999997\n'
+        'mimlboost.coverage_std=0.1\n'
+        'mimlboost.rloss_mean=0.11666666666666665\n'
+        'mimlboost.rloss_std=0.12583057392117916\n'
+        'mimlboost.aveprec_mean=0.9305555555555554\n'
+        'mimlboost.aveprec_std=0.07087417123429493\n'
+        'mimlboost.averecl_mean=0.8666666666666667\n'
+        'mimlboost.averecl_std=0.07637626158259729\n'
+        'mimlboost.aveF1_mean=0.8948760502354286\n'
+        'mimlboost.aveF1_std=0.04402965609289027\n'
+    ),
+    'mimlsvm': (
+        '         hloss      one-error  coverage     rloss      aveprec    averecl    aveF1    \n'
+        'mimlsvm  .220±.026  .033±.029  1.717±0.029  .094±.010  .932±.018  .821±.036  .872±.020\n'
+        'mimlsvm.hloss_mean=0.22\n'
+        'mimlsvm.hloss_std=0.026457513110645904\n'
+        'mimlsvm.one-error_mean=0.03333333333333333\n'
+        'mimlsvm.one-error_std=0.02886751345948129\n'
+        'mimlsvm.coverage_mean=1.7166666666666668\n'
+        'mimlsvm.coverage_std=0.028867513459481315\n'
+        'mimlsvm.rloss_mean=0.09444444444444444\n'
+        'mimlsvm.rloss_std=0.010485881160098262\n'
+        'mimlsvm.aveprec_mean=0.9316666666666666\n'
+        'mimlsvm.aveprec_std=0.01806196467445432\n'
+        'mimlsvm.averecl_mean=0.8208333333333332\n'
+        'mimlsvm.averecl_std=0.03608439182435161\n'
+        'mimlsvm.aveF1_mean=0.8723205657405293\n'
+        'mimlsvm.aveF1_std=0.01951075740470088\n'
+    ),
+    'dmimlsvm': (
+        '          hloss      one-error  coverage   rloss      aveprec    averecl    aveF1    \n'
+        'dmimlsvm  .222±.127  .167±.144  .500±.250  .125±.125  .903±.087  .708±.144  .792±.122\n'
+        'dmimlsvm.hloss_mean=0.2222222222222222\n'
+        'dmimlsvm.hloss_std=0.1272937693043289\n'
+        'dmimlsvm.one-error_mean=0.16666666666666666\n'
+        'dmimlsvm.one-error_std=0.14433756729740646\n'
+        'dmimlsvm.coverage_mean=0.5\n'
+        'dmimlsvm.coverage_std=0.25\n'
+        'dmimlsvm.rloss_mean=0.125\n'
+        'dmimlsvm.rloss_std=0.125\n'
+        'dmimlsvm.aveprec_mean=0.9027777777777777\n'
+        'dmimlsvm.aveprec_std=0.0867360833110889\n'
+        'dmimlsvm.averecl_mean=0.7083333333333334\n'
+        'dmimlsvm.averecl_std=0.14433756729740646\n'
+        'dmimlsvm.aveF1_mean=0.7922619047619047\n'
+        'dmimlsvm.aveF1_std=0.12239780085985535\n'
+    ),
+    'insdif': (
+        '        hloss      one-error  coverage     rloss      aveprec    averecl    aveF1    \n'
+        'insdif  .320±.023  .000±.000  2.500±0.233  .265±.042  .866±.017  .553±.021  .675±.013\n'
+        'insdif.hloss_mean=0.32\n'
+        'insdif.hloss_std=0.023094010767585018\n'
+        'insdif.one-error_mean=0.0\n'
+        'insdif.one-error_std=0.0\n'
+        'insdif.coverage_mean=2.5\n'
+        'insdif.coverage_std=0.23333333333333325\n'
+        'insdif.rloss_mean=0.26481481481481484\n'
+        'insdif.rloss_std=0.04169751944147298\n'
+        'insdif.aveprec_mean=0.8662962962962965\n'
+        'insdif.aveprec_std=0.016969724109459454\n'
+        'insdif.averecl_mean=0.5527777777777777\n'
+        'insdif.averecl_std=0.02097176232019651\n'
+        'insdif.aveF1_mean=0.6746099404618459\n'
+        'insdif.aveF1_std=0.013004431778985618\n'
+    ),
+    'subcod': (
+        '        hloss      one-error  coverage   rloss      aveprec    averecl    aveF1    \n'
+        'subcod  .200±.100  .200±.100  .200±.100  .200±.100  .900±.050  .800±.100  .846±.078\n'
+        'subcod.hloss_mean=0.20000000000000004\n'
+        'subcod.hloss_std=0.09999999999999999\n'
+        'subcod.one-error_mean=0.20000000000000004\n'
+        'subcod.one-error_std=0.09999999999999999\n'
+        'subcod.coverage_mean=0.20000000000000004\n'
+        'subcod.coverage_std=0.09999999999999999\n'
+        'subcod.rloss_mean=0.20000000000000004\n'
+        'subcod.rloss_std=0.09999999999999999\n'
+        'subcod.aveprec_mean=0.8999999999999999\n'
+        'subcod.aveprec_std=0.04999999999999999\n'
+        'subcod.averecl_mean=0.8000000000000002\n'
+        'subcod.averecl_std=0.10000000000000003\n'
+        'subcod.aveF1_mean=0.8463750277792023\n'
+        'subcod.aveF1_std=0.07829343399172578\n'
+    ),
+}
+
+
+def _cv(tmp_path, algo, data, config_text, against=None):
+    """`miml cv --runs 3 --seed 1`; the one config file serves both learners."""
+    cfg = tmp_path / "cv.cfg"
+    cfg.write_text(config_text)
+    extra = ["--against", against, "--against-config", str(cfg)] if against else []
+    return _run(["cv", "--algo", algo, "--data", str(data), "--runs", "3", "--seed", "1",
+                 "--config", str(cfg), *extra])
+
+
+@pytest.mark.parametrize("algo", sorted(_GOLDEN_CV))
+def test_cv_stdout_matches_golden(algo, tmp_path):
+    shape, _, config = _GOLDEN_SETUP[algo]
+    data = _synth(tmp_path, "data", shape + f"m={_GOLDEN_CV_M[algo]}\nseed=3\n")
+    assert _cv(tmp_path, algo, data, config) == (0, _GOLDEN_CV[algo])
+
+
+_GOLDEN_CV_AGAINST = (
+    '           hloss      one-error  coverage   rloss      aveprec    averecl    aveF1    \n'
+    'mimlsvm    .189±.038  .167±.058  .500±.100  .133±.029  .900±.017  .817±.029  .856±.023\n'
+    'mimlboost  .156±.019  .133±.153  .400±.100  .117±.126  .931±.071  .867±.076  .895±.044\n'
+    'mimlsvm.hloss_mean=0.18888888888888888\n'
+    'mimlsvm.hloss_std=0.03849001794597506\n'
+    'mimlsvm.one-error_mean=0.16666666666666666\n'
+    'mimlsvm.one-error_std=0.05773502691896258\n'
+    'mimlsvm.coverage_mean=0.5\n'
+    'mimlsvm.coverage_std=0.09999999999999998\n'
+    'mimlsvm.rloss_mean=0.13333333333333333\n'
+    'mimlsvm.rloss_std=0.02886751345948128\n'
+    'mimlsvm.aveprec_mean=0.8999999999999999\n'
+    'mimlsvm.aveprec_std=0.01666666666666672\n'
+    'mimlsvm.averecl_mean=0.8166666666666668\n'
+    'mimlsvm.averecl_std=0.02886751345948125\n'
+    'mimlsvm.aveF1_mean=0.8562460852078547\n'
+    'mimlsvm.aveF1_std=0.022677337827260065\n'
+    'mimlboost.hloss_mean=0.15555555555555556\n'
+    'mimlboost.hloss_std=0.01924500897298752\n'
+    'mimlboost.one-error_mean=0.13333333333333333\n'
+    'mimlboost.one-error_std=0.15275252316519466\n'
+    'mimlboost.coverage_mean=0.39999999999999997\n'
+    'mimlboost.coverage_std=0.1\n'
+    'mimlboost.rloss_mean=0.11666666666666665\n'
+    'mimlboost.rloss_std=0.12583057392117916\n'
+    'mimlboost.aveprec_mean=0.9305555555555554\n'
+    'mimlboost.aveprec_std=0.07087417123429493\n'
+    'mimlboost.averecl_mean=0.8666666666666667\n'
+    'mimlboost.averecl_std=0.07637626158259729\n'
+    'mimlboost.aveF1_mean=0.8948760502354286\n'
+    'mimlboost.aveF1_std=0.04402965609289027\n'
+    'paired t-test (mimlsvm vs mimlboost, alpha=0.05):\n'
+    '  hloss: t=1.7321 not significant\n'
+    '  one-error: t=0.2774 not significant\n'
+    '  coverage: t=1.7321 not significant\n'
+    '  rloss: t=0.2774 not significant\n'
+    '  aveprec: t=-0.6539 not significant\n'
+    '  averecl: t=-1.0000 not significant\n'
+    '  aveF1: t=-1.0291 not significant\n'
+)
+
+
+def test_cv_against_stdout_matches_golden(tmp_path):
+    data = _synth(tmp_path, "data", _GOLDEN_SETUP["mimlboost"][0] + "m=40\nseed=3\n")
+    got = _cv(tmp_path, "mimlsvm", data, "mimlsvm.C=1.0\nboost.rounds=5\nboost.seed=1\n",
+              against="mimlboost")
+    assert got == (0, _GOLDEN_CV_AGAINST)
+
+
+@pytest.mark.parametrize("runs", ["0", "-2"])
+def test_cv_without_runs_is_data_error(runs, workdir, capsys):
+    data = _synth(workdir, "data", (workdir / "spec.cfg").read_text())
+    code, text = _run(["cv", "--algo", "mimlsvm", "--data", str(data), "--runs", runs])
+    assert code == 2 and text == ""
+    assert f"runs={runs}" in capsys.readouterr().err
+
+
+def test_cv_against_with_one_run_fails_before_any_fit(workdir, capsys, monkeypatch):
+    data = _synth(workdir, "data", (workdir / "spec.cfg").read_text())
+
+    def no_fit(*args):
+        raise AssertionError("fit ran")
+
+    monkeypatch.setattr(cli, "fit_with_config", no_fit)
+    code, text = _run(["cv", "--algo", "mimlsvm", "--data", str(data), "--runs", "1",
+                       "--against", "mimlboost"])
+    assert code == 2 and text == ""
+    assert "--runs >= 2" in capsys.readouterr().err
+
+
+def test_eval_unknown_algorithm_tag_is_data_error(tmp_path, capsys):
+    body = json.dumps({"hyper": {}, "payload": {}})
+    code, text = _eval_model_text(tmp_path, "miml-model/1 xyz\n" + body + "\n")
+    assert code == 2 and text == ""
+    assert "unknown algorithm tag 'xyz'" in capsys.readouterr().err
 
 
 def test_solver_pivot_limit_is_numerical_failure(tmp_path, capsys, monkeypatch):

@@ -6,12 +6,11 @@ from miml.dmimlsvm import (
     DMimlConfig,
     compute_imbalance_rates,
     cutting_plane_solve,
-    decision_values,
     fit,
     label_matrix,
     loss_value,
     objective_value,
-    predict,
+    predict_many,
     tau_from_ibr,
     uniform_rho,
     update_rho,
@@ -282,9 +281,8 @@ def test_predict_training_bag_matches_expansion(rng):
     model = fit(ds, DMimlConfig(gamma=10.0, seed=0, cccp_max_iters=3))
     gram = build_gram(model.kernel, ds)
     g = gram.values @ model.A + model.biases[None, :]
-    for i, bag in enumerate(ds.bags()):
-        vals = decision_values(model, bag)
-        assert np.allclose(vals, g[i], atol=1e-10)
+    for i, ls in enumerate(predict_many(model, ds.bags())):
+        assert np.allclose(ls.scores, g[i], atol=1e-10)
 
 
 def test_predict_constant_bias_label():
@@ -294,7 +292,7 @@ def test_predict_constant_bias_label():
     model = DMimlSvmModel(A=np.zeros((2, 2)), biases=model_bias,
                           kernel=KernelSpec("rbf", 1.0),
                           train_bags=ds.bags(), tau=None)
-    ls = predict(model, Bag("q", [[5.0]]))
+    (ls,) = predict_many(model, [Bag("q", [[5.0]])])
     assert ls.predicted == frozenset({0})
 
 
@@ -324,7 +322,7 @@ def test_t1_singleton_agrees_with_plain_svm(rng):
     test_pts = rng.normal(size=(60, 2)) * 2.0
     svm_scores = (alpha * y) @ instance_gram(spec, X, test_pts) + bias
     dm_scores = np.array([
-        decision_values(model, Bag("q", p[None, :]))[0] for p in test_pts
+        ls.scores[0] for ls in predict_many(model, [Bag("q", p[None, :]) for p in test_pts])
     ])
     agree = np.mean(np.sign(svm_scores) == np.sign(dm_scores))
     assert agree >= 0.95
@@ -343,7 +341,7 @@ def test_fit_with_imbalance_flag(rng):
     hist = model.history["objective"]
     for a, b in zip(hist, hist[1:]):
         assert b <= a + 1e-8
-    ls = predict(model, ds.bags()[0])
+    (ls,) = predict_many(model, ds.bags()[:1])
     assert len(ls.predicted) >= 1
 
 

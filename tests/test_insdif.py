@@ -9,7 +9,7 @@ from miml.insdif import (
     compute_prototypes,
     fit,
     instance_to_bag,
-    predict,
+    predict_many,
 )
 
 
@@ -78,8 +78,7 @@ def test_interpolation_reproduces_targets(rng):
         out = Phi @ model.W
         assert np.allclose(out, model.history["targets"], atol=1e-6)
         # training examples get their own labels back
-        for i, (bag, labels) in enumerate(ds.examples):
-            ls = predict(model, bag.feats[0])
+        for ls, labels in zip(predict_many(model, ds.bags()), ds.label_sets()):
             assert ls.predicted == labels
 
 
@@ -98,18 +97,19 @@ def test_predict_zero_weights_empty_and_fallback(rng):
     model = fit(ds, InsDifConfig(seed=0))
     zero = InsDifModel(prototypes=model.prototypes, medoids=model.medoids,
                        W=np.zeros_like(model.W), fallback=False)
-    ls = predict(zero, rng.normal(size=ds.d))
+    (ls,) = predict_many(zero, [Bag("q", rng.normal(size=(1, ds.d)))])
     assert np.all(ls.scores == 0.0) and ls.predicted == frozenset()
     with_fb = InsDifModel(prototypes=model.prototypes, medoids=model.medoids,
                           W=np.zeros_like(model.W), fallback=True)
-    assert len(predict(with_fb, rng.normal(size=ds.d)).predicted) >= 1
+    (ls,) = predict_many(with_fb, [Bag("q", rng.normal(size=(1, ds.d)))])
+    assert len(ls.predicted) >= 1
 
 
 def test_predict_matches_weighted_sum_oracle(rng):
     ds = _single_instance_ds(rng, m=8)
     model = fit(ds, InsDifConfig(seed=2))
     x = rng.normal(size=ds.d)
-    ls = predict(model, x)
+    (ls,) = predict_many(model, [Bag("q", x[None, :])])
     bag = instance_to_bag(x, model.prototypes)
     for l in range(ds.T):
         acc = sum(model.W[j, l] * hausdorff(bag, model.medoids[j])

@@ -5,11 +5,9 @@ from miml.core import Bag, MimlDataset, psi
 from miml.mimlboost import (
     BoostConfig,
     BoostModel,
-    MilBag,
     Stump,
-    bag_error,
     fit,
-    predict,
+    predict_many,
     train_stump,
     transform_to_mil,
 )
@@ -53,27 +51,19 @@ def test_stump_respects_weights():
     assert s.predict_sign(np.array([[1.0]]))[0] == -1.0
 
 
-def test_bag_error_bounds():
-    from miml.mimlboost import MilBag
-    bag_pos = MilBag(example=0, label=0, feats=np.array([[0.0], [1.0]]), sign=1)
-    always_up = Stump(feature=0, threshold=float("-inf"), polarity=1)
-    always_down = Stump(feature=0, threshold=float("-inf"), polarity=-1)
-    split = Stump(feature=0, threshold=0.5, polarity=1)
-    assert bag_error(always_up, bag_pos) == 0.0
-    assert bag_error(always_down, bag_pos) == 1.0
-    assert bag_error(split, bag_pos) == 0.5
-
-
-def test_bag_error_matches_counting_oracle(rng):
-    for _ in range(20):
-        n = int(rng.integers(1, 6))
-        bag = MilBag(example=0, label=0, feats=rng.normal(size=(n, 2)),
-                     sign=int(rng.choice([-1, 1])))
-        weak = Stump(feature=int(rng.integers(0, 2)),
-                     threshold=float(rng.normal()), polarity=int(rng.choice([-1, 1])))
-        wrong = sum(1 for j in range(n)
-                    if weak.predict_sign(bag.feats[j][None, :])[0] != bag.sign)
-        assert bag_error(weak, bag) == pytest.approx(wrong / n)
+def test_round_bag_errors_match_counting_oracle(rng):
+    """Each kept round's e[u] is the fraction of transformed bag u's
+    instances that the round's weak learner gets wrong."""
+    ds = random_dataset(rng, m=6, T=3, d=2)
+    model = fit(ds, BoostConfig(rounds=6, base="stump"))
+    mil = transform_to_mil(ds)
+    assert model.rounds
+    for (weak, _), trace in zip(model.rounds, model.history["rounds"]):
+        for bag, e in zip(mil, trace["e"]):
+            n = bag.feats.shape[0]
+            wrong = sum(1 for j in range(n)
+                        if weak.predict_sign(bag.feats[j][None, :])[0] != bag.sign)
+            assert e == pytest.approx(wrong / n)
 
 
 def test_weights_stay_probability_distribution(rng):
@@ -125,7 +115,7 @@ def test_predict_score_is_n_star_for_constant_learner():
         T=1, d=1)
     model = fit(ds, BoostConfig(rounds=1, base="stump", c_cap=1.0))
     bag = Bag("q", [[0.3], [0.4], [0.5]])
-    ls = predict(model, bag)
+    (ls,) = predict_many(model, [bag])
     assert ls.scores[0] == pytest.approx(3.0)  # c=1 cap, h=+1 on all 3 instances
     assert ls.predicted == frozenset({0})
 
@@ -135,7 +125,7 @@ def test_predict_empty_when_all_scores_nonpositive():
     # x > +inf is never true, so prediction is -polarity = +1; flip polarity
     weak = Stump(feature=0, threshold=float("-inf"), polarity=-1)  # always -1
     model = BoostModel(rounds=((weak, 2.0),), T=2, d=1, config=BoostConfig())
-    ls = predict(model, Bag("q", [[1.0], [2.0]]))
+    (ls,) = predict_many(model, [Bag("q", [[1.0], [2.0]])])
     assert np.all(ls.scores < 0)
     assert ls.predicted == frozenset()
 
@@ -146,7 +136,7 @@ def test_predict_matches_double_sum_oracle(rng):
     assert model.rounds
     from miml.mimlboost import _augment
     bag = Bag("q", rng.normal(size=(3, 2)))
-    ls = predict(model, bag)
+    (ls,) = predict_many(model, [bag])
     for v in range(3):
         acc = 0.0
         for j in range(bag.size):

@@ -4,7 +4,7 @@ import pytest
 from miml.bagdist import hausdorff, pairwise_hausdorff
 from miml.bench import SynthSpec, generate
 from miml.metrics import compute_report
-from miml.mimlsvm import MimlSvmConfig, fit, predict, tcriterion
+from miml.mimlsvm import MimlSvmConfig, _holdout_C, fit, predict_many, tcriterion
 
 from conftest import random_bag, random_dataset
 
@@ -39,7 +39,7 @@ def test_fit_structure_and_membership_signs(rng):
     assert len(model.svms) == 3
     assert 1 <= model.k <= ds.m
     assert len(model.medoids) == model.k
-    ls = predict(model, ds.bags()[0])
+    (ls,) = predict_many(model, ds.bags()[:1])
     assert len(ls.predicted) >= 1
     assert ls.scores.shape == (3,)
 
@@ -49,7 +49,7 @@ def test_separable_training_hamming(rng):
                      spread=0.2, seed=11)
     ds, _ = generate(spec)
     model = fit(ds, MimlSvmConfig(k=ds.m, C=10.0, seed=0))  # k = m
-    preds = [predict(model, bag) for bag, _ in ds.examples]
+    preds = predict_many(model, ds.bags())
     rep = compute_report(preds, ds.label_sets(), ds.T)
     assert rep.hamming_loss < 0.1
 
@@ -58,9 +58,10 @@ def test_fit_deterministic(rng):
     ds = random_dataset(rng, m=8, T=2, d=2)
     m1 = fit(ds, MimlSvmConfig(C=1.0, seed=3))
     m2 = fit(ds, MimlSvmConfig(C=1.0, seed=3))
-    assert m1 == m2
+    assert m1.to_payload() == m2.to_payload()
     b = random_bag(rng, 2, ident="q")
-    assert np.array_equal(predict(m1, b).scores, predict(m2, b).scores)
+    (p1,), (p2,) = predict_many(m1, [b]), predict_many(m2, [b])
+    assert np.array_equal(p1.scores, p2.scores)
 
 
 def test_holdout_C_selection_runs(rng):
@@ -74,3 +75,14 @@ def test_k_out_of_range(rng):
     ds = random_dataset(rng, m=4, T=2, d=2)
     with pytest.raises(ValueError):
         fit(ds, MimlSvmConfig(k=9))
+
+
+def test_explicit_k_above_holdout_subset_is_clamped(rng):
+    """With C unset, an explicit k valid for the full set but larger than the
+    hold-out's 15-bag training subset selects C exactly as k=15 does."""
+    ds = random_dataset(rng, m=20, T=2, d=2)
+    D = pairwise_hausdorff(ds.bags())
+    assert _holdout_C(ds, MimlSvmConfig(k=18), D) == _holdout_C(ds, MimlSvmConfig(k=15), D)
+    model = fit(ds, MimlSvmConfig(k=18))
+    assert model.k == 18 and len(model.medoids) == 18
+    assert model.history["C"] in (0.1, 1.0, 10.0)

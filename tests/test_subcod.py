@@ -13,8 +13,7 @@ from miml.subcod import (
     fit,
     polish_labels,
     polish_objective,
-    predict,
-    predict_label,
+    predict_many,
 )
 
 
@@ -187,19 +186,19 @@ def test_fit_m1_predicts_majority(rng):
     ds = MimlDataset(tuple(examples), T=2, d=2)
     model = fit(ds, SubCodConfig(M=1, seed=0))
     assert np.all(model.c_tilde == 1.0)
-    for bag, _ in ds.examples:
-        assert predict_label(model, bag) == 0
+    for ls in predict_many(model, ds.bags()):
+        assert ls.predicted == {0}
 
 
 def test_fit_deterministic_and_predicts(rng):
     ds = _mil_binary_ds(rng, m=14)
     m1 = fit(ds, SubCodConfig(M=2, seed=5))
     m2 = fit(ds, SubCodConfig(M=2, seed=5))
-    assert m1 == m2
-    correct = sum(predict_label(m1, bag) == next(iter(labels))
-                  for bag, labels in ds.examples)
+    assert m1.to_payload() == m2.to_payload()
+    correct = sum(ls.predicted == labels
+                  for ls, labels in zip(predict_many(m1, ds.bags()), ds.label_sets()))
     assert correct >= 0.9 * ds.m  # separable training data
-    ls = predict(m1, ds.bags()[0])
+    (ls,) = predict_many(m1, ds.bags()[:1])
     assert len(ls.predicted) == 1
 
 
