@@ -29,15 +29,6 @@ def stack_bags(bags: Sequence[Bag]):
     return np.concatenate(feats), offsets
 
 
-def hausdorff(a: Bag, b: Bag) -> float:
-    """Hausdorff distance between two bags (Euclidean base metric)."""
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    xa, offa = stack_bags([a])
-    xb, offb = stack_bags([b])
-    return float(np.sqrt(pairwise_sq_hausdorff(xa, offa, xb, offb)[0, 0]))
-
-
 def pairwise_hausdorff(bags_a: Sequence[Bag], bags_b: Sequence[Bag] = None) -> np.ndarray:
     """Full Hausdorff distance matrix between two bag collections.
 

@@ -109,13 +109,6 @@ def generate(spec: SynthSpec) -> Tuple[MimlDataset, Tuple[Tuple[int, ...], ...]]
     return ds, tuple(planted)
 
 
-def expected_base_marginal(spec: SynthSpec) -> float:
-    """Exact P(base label in Y | subset admissible) under the rejection
-    sampler; drawing every base label is inadmissible in both modes."""
-    q, k = spec.label_prob, (spec.T - 1 if spec.composite else spec.T)
-    return q * (1 - q ** (k - 1)) / (1 - (1 - q) ** k - q ** k)
-
-
 # ------------------------------------------------------------- baseline
 
 

@@ -78,21 +78,6 @@ class DMimlSvmModel:
 # --------------------------------------------------------------- pieces
 
 
-def loss_value(ds: MimlDataset, bag_scores: np.ndarray,
-               inst_scores: List[np.ndarray], lam: float) -> float:
-    """Average hinge loss on bags plus lam-weighted l1 gap between each
-    bag's score and the max over its instances' scores."""
-    m, T = bag_scores.shape
-    hinge = 0.0
-    gap = 0.0
-    for i, (_, labels) in enumerate(ds.examples):
-        for t in range(T):
-            y = psi(labels, t, T)
-            hinge += max(0.0, 1.0 - y * bag_scores[i, t])
-            gap += abs(bag_scores[i, t] - inst_scores[i][:, t].max())
-    return hinge / (m * T) + lam * gap / (m * T)
-
-
 def compute_imbalance_rates(ds: MimlDataset) -> np.ndarray:
     """ibr(y) = sum over bags containing y of n_i / (n |Y_i|); sums to 1."""
     require_valid(ds)

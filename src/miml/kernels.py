@@ -65,21 +65,6 @@ def instance_gram(spec: KernelSpec, Z: np.ndarray, Z2: np.ndarray = None) -> np.
     return B
 
 
-def base_kernel(spec: KernelSpec, u: np.ndarray, v: np.ndarray) -> float:
-    u = np.asarray(u, dtype=np.float64).ravel()
-    v = np.asarray(v, dtype=np.float64).ravel()
-    if u.shape != v.shape:
-        raise ValueError("dimension mismatch")
-    return float(instance_gram(spec, u[None, :], v[None, :])[0, 0])
-
-
-def set_kernel(spec: KernelSpec, a: Bag, b: Bag) -> float:
-    """Mean of pairwise base-kernel values between the two bags."""
-    if a.dim != b.dim:
-        raise ValueError("dimension mismatch")
-    return float(instance_gram(spec, a.feats, b.feats).mean())
-
-
 @dataclass(frozen=True, eq=False)
 class GramMatrix:
     """Joint (m+n) x (m+n) kernel matrix over ordered bags and instances.
@@ -100,12 +85,6 @@ class GramMatrix:
     @property
     def size(self) -> int:
         return self.m + self.n
-
-    def index_bag(self, i: int) -> int:
-        return i
-
-    def index_instance(self, i: int, j: int) -> int:
-        return self.m + int(self.offsets[i]) + j
 
 
 def build_gram(spec: KernelSpec, ds: MimlDataset) -> GramMatrix:

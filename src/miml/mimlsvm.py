@@ -14,6 +14,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import kernels
 from .bagdist import k_medoids_from_dists, pairwise_hausdorff
 from .core import Bag, MimlDataset, psi, require_valid
 from .kernels import KernelSpec
@@ -65,17 +66,17 @@ def resolve_k(cfg: MimlSvmConfig, m: int) -> int:
     return k
 
 
-def _train_label_svms(Z: np.ndarray, label_sets, T: int, C: float,
-                      gamma: Optional[float]) -> Tuple[SvmDecision, ...]:
+def _train_label_svms(Z: np.ndarray, label_sets, T: int, Cs: Sequence[float],
+                      gamma: Optional[float]) -> List[Tuple[SvmDecision, ...]]:
+    """One SVM per label on Z for each C in Cs, all on one Gram of Z."""
     m, k = Z.shape
     spec = KernelSpec("rbf", gamma if gamma is not None else 1.0 / k)
-
-    svms = []
-    for t in range(T):
-        y = np.array([float(psi(labels, t, T)) for labels in label_sets])
-        prob = WeightedBinaryProblem(X=Z, y=y, weights=np.ones(m), C=C)
-        svms.append(train_weighted_svm(prob, spec))
-    return tuple(svms)
+    gram = kernels.instance_gram(spec, Z)
+    targets = [np.array([float(psi(labels, t, T)) for labels in label_sets])
+               for t in range(T)]
+    return [tuple(train_weighted_svm(WeightedBinaryProblem(Z, y, np.ones(m), C), spec, gram=gram)
+                  for y in targets)
+            for C in Cs]
 
 
 def tcriterion(scores: np.ndarray) -> frozenset:
@@ -112,7 +113,7 @@ def fit(ds: MimlDataset, cfg: MimlSvmConfig = MimlSvmConfig()) -> MimlSvmModel:
     history = {}
     if chosen_C is None:
         chosen_C, history = _holdout_C(ds, cfg, D)
-    svms = _train_label_svms(Z, label_sets, ds.T, chosen_C, cfg.gamma)
+    (svms,) = _train_label_svms(Z, label_sets, ds.T, (chosen_C,), cfg.gamma)
     model = MimlSvmModel(
         medoids=tuple(bags[i] for i in medoid_idx),
         svms=svms, T=ds.T, k=k,
@@ -143,8 +144,8 @@ def _holdout_C(ds: MimlDataset, cfg: MimlSvmConfig, D: np.ndarray):
     hold_labels = [ds.label_sets()[i] for i in hold]
 
     scores = {}
-    for C in _C_GRID:
-        svms = _train_label_svms(Z_sub, sub_ds.label_sets(), ds.T, C, cfg.gamma)
+    label_svms = _train_label_svms(Z_sub, sub_ds.label_sets(), ds.T, _C_GRID, cfg.gamma)
+    for C, svms in zip(_C_GRID, label_svms):
         total = sum(len(tcriterion(s).symmetric_difference(y))
                     for s, y in zip(_decision_matrix(svms, Z_hold), hold_labels))
         scores[C] = total / (len(hold) * ds.T)

@@ -5,10 +5,6 @@ class SolverError(Exception):
     """Base class for numerical-solver failures."""
 
 
-class InfeasibleError(SolverError):
-    """The constraint set admits no feasible point."""
-
-
 class UnboundedError(SolverError):
     """The objective is unbounded below over the feasible set."""
 

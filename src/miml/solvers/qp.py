@@ -2,9 +2,9 @@
 
 Solves min 1/2 x'Qx + c'x subject to G x <= h, A x == b and box bounds.
 Q must be symmetric positive semidefinite; a tiny ridge keeps the
-equality-constrained subproblems well posed.  A feasible start can be
-supplied (with an optional initial active set) and is otherwise found by a
-phase-1 simplex run.
+equality-constrained subproblems well posed.  The caller supplies a
+feasible start (with an optional initial active set); there is no phase 1,
+so a start that violates a row by more than _START_TOL is an error.
 
 Each step minimizes over the null space of the working rows.  That null
 basis and the eigendecomposition of the reduced Hessian depend only on the
@@ -25,9 +25,8 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import NumericalError, UnboundedError
-from .lp import LpProblem, solve_lp
 
-_FEAS_TOL = 1e-8
+_START_TOL = 1e-7   # a start's allowed row violation; an active0 row's slack
 _RIDGE = 1e-9   # keeps the KKT systems solvable without visibly moving optima
 
 
@@ -123,13 +122,6 @@ def _fold(p: QpProblem):
     return Q, c, G, h, A, b
 
 
-def _phase1(c_dim, G, h, A, b):
-    lp = LpProblem(c=np.zeros(c_dim), G=G if G.size else None, h=h if h.size else None,
-                   A=A if A.size else None, b=b if b.size else None)
-    x, _ = solve_lp(lp)
-    return x
-
-
 def _independent_tight_rows(G, h, A, x, tol):
     """Indices of rows tight at x, added only while they increase the rank."""
     tight = np.flatnonzero(np.abs(G @ x - h) <= tol) if G.size else np.array([], dtype=int)
@@ -147,40 +139,35 @@ def _independent_tight_rows(G, h, A, x, tol):
     return chosen
 
 
-def solve_qp(p: QpProblem, x0: Optional[np.ndarray] = None,
+def solve_qp(p: QpProblem, x0: np.ndarray,
              active0: Optional[Sequence[int]] = None) -> QpResult:
-    """Active-set solve; returns the KKT point and its objective.
+    """Active-set solve from the feasible start x0; returns the KKT point
+    and its objective.
 
     ``active0`` injects an initial working set (row indices into the folded
     inequality system) for warm starts.  A failure names the problem size
-    (box bounds count as inequality rows), the working-set size and the
-    iteration reached.
+    (box bounds count as inequality rows); past the start it also names the
+    working-set size and the iteration reached.
     """
     Q, c, G, h, A, b = _fold(p)
     n = c.size
     ridge = _RIDGE * (1.0 + (np.max(np.abs(Q)) if Q.size else 0.0))
     Qr = Q + ridge * np.eye(n)
 
-    if x0 is not None:
-        x = np.asarray(x0, dtype=np.float64).copy()
-        viol = 0.0
-        if G.size:
-            viol = max(viol, float(np.max(G @ x - h, initial=0.0)))
-        if A.size:
-            viol = max(viol, float(np.max(np.abs(A @ x - b), initial=0.0)))
-        if viol > 1e-7:
-            x = _phase1(n, G, h, A, b)
-    else:
-        x = _phase1(n, G, h, A, b)
+    size = f"{n} variables, {G.shape[0]} inequality and {A.shape[0]} equality rows"
+    x = np.asarray(x0, dtype=np.float64).copy()
+    viol = max(float(np.max(G @ x - h, initial=0.0)),
+               float(np.max(np.abs(A @ x - b), initial=0.0)))
+    if viol > _START_TOL:
+        raise NumericalError(f"infeasible start: largest row violation {viol:.2e} ({size})")
 
     if active0 is not None:
-        W = [int(r) for r in active0 if abs(G[r] @ x - h[r]) <= 1e-7]
+        W = [int(r) for r in active0 if abs(G[r] @ x - h[r]) <= _START_TOL]
     else:
         W = _independent_tight_rows(G, h, A, x, 1e-9)
 
     def state(it):
-        return (f"{n} variables, {G.shape[0]} inequality and {A.shape[0]} equality rows, "
-                f"working set of {len(W)} at iteration {it + 1}")
+        return f"{size}, working set of {len(W)} at iteration {it + 1}"
 
     n_eq = A.shape[0]
     max_iter = 50 + 6 * (n + G.shape[0])

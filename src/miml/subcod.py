@@ -3,10 +3,21 @@
 All instances are pooled and modeled by a Gaussian mixture; each mixture
 component is a sub-concept.  A bag's raw pseudo-label vector marks the
 components its instances fall into, then a max-margin polishing step may
-flip entries: the margin problem alternates between a soft-margin QP in
-(w, b) and an LP over the flip variables under a keep-at-least-theta
-budget.  An inner MimlSvm learns bags -> polished pseudo-labels and a
-linear mapper turns pseudo-label vectors back into the original class.
+flip entries.  Polishing alternates two exact steps on
+min 1/2 |w|^2 + C sum_i hinge(y_i (w . (c_i * z_i) + b)) over
+z in [-1, 1]^(m x M) with sum z >= 2 theta - 1:
+
+- at fixed flips, (w, b) is a linear soft-margin SVM, trained by SMO;
+- at fixed (w, b), the flips are a fractional knapsack with one budget
+  row (Dantzig 1957), solved by a greedy.  Every z starts at +1; with
+  a_ik = y_i w_k c_ik, entries with a_ik < 0 are lowered, most negative
+  first, each as far as its bag's remaining hinge and the budget allow.
+
+The optimal flips are rarely unique, and the greedy breaks ties one way:
+an entry whose flip lowers no hinge (a_ik >= 0, or a bag already at zero
+hinge) is never lowered, so every label whose flip gains nothing is kept.
+An inner MimlSvm learns bags -> polished pseudo-labels and a linear mapper
+turns pseudo-label vectors back into the original class.
 """
 
 from dataclasses import dataclass, field
@@ -14,13 +25,14 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import kernels
 from .core import Bag, MimlDataset, require_valid
 from .kernels import KernelSpec
 from .metrics import LabelScores
 from .mimlsvm import MimlSvmConfig, MimlSvmModel
 from .mimlsvm import fit as mimlsvm_fit
 from .mimlsvm import predict_many as mimlsvm_predict_many
-from .solvers import LpProblem, QpProblem, SvmDecision, solve_lp, solve_qp
+from .solvers import SvmDecision, WeightedBinaryProblem, train_weighted_svm
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -163,13 +175,10 @@ def assign_subconcepts(gmm: GmmModel, X: np.ndarray) -> np.ndarray:
 
 def derive_label_vectors(sizes: np.ndarray, assignments: np.ndarray, M: int) -> np.ndarray:
     """(m, M) matrix with +1 where a bag contains the sub-concept, else -1."""
-    offsets = np.concatenate(([0], np.cumsum(sizes)))
-    if assignments.size != offsets[-1]:
+    if assignments.size != sizes.sum():
         raise ValueError("assignments do not cover all instances")
     c = -np.ones((sizes.size, M))
-    for i in range(sizes.size):
-        for k in assignments[offsets[i]:offsets[i + 1]]:
-            c[i, int(k)] = 1.0
+    c[np.repeat(np.arange(sizes.size), sizes), assignments] = 1.0
     return c
 
 
@@ -184,56 +193,46 @@ def polish_objective(w: np.ndarray, b: float, Z: np.ndarray, c: np.ndarray,
 
 
 def _polish_qp(Q_inputs: np.ndarray, y: np.ndarray, C: float):
-    """Soft-margin primal over (w, b, xi) at fixed flip variables."""
-    m, M = Q_inputs.shape
-    nv = M + 1 + m
-    Q = np.zeros((nv, nv))
-    Q[:M, :M] = np.eye(M)
-    c_lin = np.zeros(nv)
-    c_lin[M + 1:] = C
-    rows = np.zeros((m, nv))
-    rows[:, :M] = -y[:, None] * Q_inputs
-    rows[:, M] = -y
-    rows[np.arange(m), M + 1 + np.arange(m)] = -1.0
-    rhs = -np.ones(m)
-    lb = np.full(nv, -np.inf)
-    lb[M + 1:] = 0.0
-    x0 = np.zeros(nv)
-    x0[M + 1:] = 1.0
-    res = solve_qp(QpProblem(Q=Q, c=c_lin, G=rows, h=rhs, lb=lb), x0=x0)
-    return res.x[:M].copy(), float(res.x[M])
+    """Soft-margin primal over (w, b) at fixed flip variables: a linear SVM
+    on the rows of Q_inputs, solved in its dual by SMO."""
+    m = Q_inputs.shape[0]
+    svm = train_weighted_svm(WeightedBinaryProblem(Q_inputs, y, np.ones(m), C),
+                             KernelSpec("linear"), tol=1e-10)
+    return svm.coef @ svm.vectors, svm.bias
 
 
 def _polish_lp(w: np.ndarray, b: float, c: np.ndarray, y: np.ndarray,
-               theta: int, C: float) -> np.ndarray:
-    """Optimal flips at fixed (w, b): minimize the summed hinge subject to
-    z in [-1, 1]^(m x M) and sum z >= 2*theta - 1."""
+               theta: int) -> np.ndarray:
+    """Optimal flips at fixed (w, b): the LP minimizing the summed hinge
+    subject to z in [-1, 1]^(m x M) and sum z >= 2*theta - 1.
+
+    Lowering z_ik by t raises bag i's margin by t*|a_ik| when a_ik < 0, so
+    spending the budget m*M - (2*theta - 1) on the most negative a_ik first,
+    each until its bag's hinge reaches zero, is exact."""
     m, M = c.shape
-    nz = m * M
-    nv = nz + m
-    c_obj = np.zeros(nv)
-    c_obj[nz:] = C
-    rows: List[np.ndarray] = []
-    rhs: List[float] = []
-    for i in range(m):
-        row = np.zeros(nv)
-        row[i * M:(i + 1) * M] = -y[i] * (w * c[i])
-        row[nz + i] = -1.0
-        rows.append(row)
-        rhs.append(-(1.0 - y[i] * b))
-    budget = np.zeros(nv)
-    budget[:nz] = -1.0
-    rows.append(budget)
-    rhs.append(-(2.0 * theta - 1.0))
-    lb = np.concatenate([-np.ones(nz), np.zeros(m)])
-    ub = np.concatenate([np.ones(nz), np.full(m, np.inf)])
-    x, _ = solve_lp(LpProblem(c=c_obj, G=np.array(rows), h=np.array(rhs), lb=lb, ub=ub))
-    return x[:nz].reshape(m, M)
+    a = y[:, None] * w[None, :] * c
+    hinge = np.maximum(0.0, 1.0 - y * b - a.sum(axis=1))
+    budget = m * M - (2.0 * theta - 1.0)
+    Z = np.ones((m, M))
+    for flat in np.argsort(a, axis=None, kind="stable"):
+        i, k = divmod(int(flat), M)
+        gain = -a[i, k]
+        if gain <= 0.0 or budget <= 0.0:
+            break
+        if hinge[i] <= 0.0:
+            continue
+        need = hinge[i] / gain
+        step = min(2.0, need, budget)
+        Z[i, k] -= step
+        hinge[i] = 0.0 if step == need else hinge[i] - step * gain
+        budget -= step
+    return Z
 
 
 def polish_labels(c: np.ndarray, y: np.ndarray, theta: int, C: float,
                   max_alternations: int = 50):
-    """Alternating margin polishing; returns (c_tilde, objective history)."""
+    """Alternating margin polishing; returns (c_tilde, objective history,
+    Z), where Z holds the final flip variables."""
     c = np.asarray(c, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     m, M = c.shape
@@ -247,7 +246,7 @@ def polish_labels(c: np.ndarray, y: np.ndarray, theta: int, C: float,
     prev_obj = None
     for _ in range(max_alternations):
         w, b = _polish_qp(c * Z, y, C)
-        Z_new = _polish_lp(w, b, c, y, theta, C)
+        Z_new = _polish_lp(w, b, c, y, theta)
         obj = polish_objective(w, b, Z_new, c, y, C)
         history.append(obj)
         dz = float(np.max(np.abs(Z_new - Z)))
@@ -364,14 +363,14 @@ def fit(ds: MimlDataset, cfg: SubCodConfig = SubCodConfig()) -> SubCodModel:
 
 
 def _fit_mappers(c_tilde: np.ndarray, labels: np.ndarray, classes) -> Tuple[SvmDecision, ...]:
-    from .solvers import WeightedBinaryProblem, train_weighted_svm
     m = c_tilde.shape[0]
     spec = KernelSpec("linear")
+    gram = kernels.instance_gram(spec, c_tilde)
     mappers = []
     for cls in classes:
         y = np.where(labels == cls, 1.0, -1.0)
         prob = WeightedBinaryProblem(X=c_tilde, y=y, weights=np.ones(m), C=10.0)
-        mappers.append(train_weighted_svm(prob, spec))
+        mappers.append(train_weighted_svm(prob, spec, gram=gram))
     return tuple(mappers)
 
 

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from miml._dist import pairwise_sq_hausdorff
+from miml.bagdist import stack_bags
 from miml.bench import fit_prior
 from miml.core import Bag, MimlDataset
 
@@ -19,6 +21,15 @@ def random_dataset(rng, m=6, T=3, d=2, n_max=4):
         labels = frozenset(int(v) for v in rng.choice(T, size=size, replace=False))
         examples.append((bag, labels))
     return MimlDataset(tuple(examples), T=T, d=d)
+
+
+def hausdorff(a, b):
+    """Hausdorff distance between two bags (Euclidean base metric)."""
+    if a.dim != b.dim:
+        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
+    xa, offa = stack_bags([a])
+    xb, offb = stack_bags([b])
+    return float(np.sqrt(pairwise_sq_hausdorff(xa, offa, xb, offb)[0, 0]))
 
 
 def prior_fit_predict(train_ds, run_seed):

@@ -1,4 +1,8 @@
-"""Dense two-phase simplex for small linear programs.
+"""Dense two-phase simplex for small linear programs: the tests' LP oracle.
+
+The package solves no general LP; this solver checks SubCod's greedy flip
+step against the LP optimum, and its phase 1 gives feasible starts to the
+active-set QP tests.
 
 Problems are given as min c'x subject to G x <= h, A x == b and box bounds;
 the solver converts to standard form, finds a basic feasible solution with
@@ -6,11 +10,8 @@ artificial variables, and then optimizes.  Dantzig pricing with a switch to
 Bland's rule guards against cycling.
 
 A pivot updates every row whose pivot-column entry is nonzero in one
-vectorized step.  Each entry gets the same product and subtraction as in a
-row-by-row loop, and rows with an exact zero are skipped as that loop skips
-them (updating them would turn -0.0 entries into 0.0), so every tableau,
-pivot choice and solution is bit-identical to the loop.  A pivot-limit
-error names the phase, the problem and tableau sizes and the pivots made.
+vectorized step.  A pivot-limit error names the phase, the problem and
+tableau sizes and the pivots made.
 """
 
 from dataclasses import dataclass
@@ -18,7 +19,12 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InfeasibleError, NumericalError, UnboundedError
+from miml.solvers import NumericalError, SolverError, UnboundedError
+
+
+class InfeasibleError(SolverError):
+    """The constraint set admits no feasible point."""
+
 
 _TOL = 1e-9
 _MAX_PIVOTS = 20000

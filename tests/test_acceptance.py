@@ -7,14 +7,14 @@ import numpy as np
 import pytest
 
 from miml import dataio, dmimlsvm, insdif, mimlboost, mimlsvm, subcod
-from miml.bagdist import hausdorff, k_medoids_from_dists, pairwise_hausdorff
+from miml.bagdist import k_medoids_from_dists, pairwise_hausdorff
 from miml.bench import SynthSpec, generate, paired_t_test, random_split_eval
 from miml.cli import REGISTRY, fit_with_config, make_fit_predict, run as cli_run
 from miml.core import Bag, MimlDataset
 from miml.kernels import KernelSpec, build_gram
 from miml.metrics import average_f1, compute_report
 
-from conftest import prior_fit_predict, random_bag, random_dataset
+from conftest import hausdorff, prior_fit_predict, random_bag, random_dataset
 from test_dmimlsvm import full_qp_objective
 from test_metrics import oracle_report, random_case
 

@@ -6,14 +6,13 @@ import pytest
 
 from miml import _dist
 from miml.bagdist import (
-    hausdorff,
     k_medoids_from_dists,
     medoid_of_dists,
     pairwise_hausdorff,
 )
 from miml.core import Bag
 
-from conftest import random_bag
+from conftest import hausdorff, random_bag
 
 
 def oracle_hausdorff(a, b):

@@ -5,7 +5,6 @@ import scipy.stats
 from miml.bench import (
     SynthSpec,
     T_CRIT_05,
-    expected_base_marginal,
     format_mean_std,
     generate,
     label_means,
@@ -16,6 +15,13 @@ from miml.bench import (
 from miml.dataio import serialize_dataset
 
 from conftest import prior_fit_predict
+
+
+def expected_base_marginal(spec):
+    """Exact P(base label in Y | subset admissible) under the rejection
+    sampler; drawing every base label is inadmissible in both modes."""
+    q, k = spec.label_prob, (spec.T - 1 if spec.composite else spec.T)
+    return q * (1 - q ** (k - 1)) / (1 - (1 - q) ** k - q ** k)
 
 
 def test_generator_deterministic():

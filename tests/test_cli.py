@@ -9,7 +9,7 @@ import pytest
 from miml import bench, cli, dataio, dmimlsvm, insdif, mimlboost, mimlsvm, subcod
 from miml.cli import REGISTRY, run
 from miml.core import Bag, MimlDataset
-from miml.solvers import lp
+from miml.solvers import qp
 
 
 def _run(argv):
@@ -147,6 +147,7 @@ _GOLDEN_SETUP = {
 }
 
 # `miml eval` stdout of the per-bag implementation that preceded batch scoring
+# (subcod's since its polishing uses SMO and the greedy flip step)
 _GOLDEN_EVAL = {
     "mimlboost": (
         'hloss  one-error  coverage  rloss  aveprec  averecl  aveF1\n'
@@ -194,14 +195,14 @@ _GOLDEN_EVAL = {
     ),
     "subcod": (
         'hloss  one-error  coverage  rloss  aveprec  averecl  aveF1\n'
-        '0.163  0.163      0.163     0.163  0.918    0.837    0.876\n'
-        'hloss=0.16333333333333333\n'
-        'one-error=0.16333333333333333\n'
-        'coverage=0.16333333333333333\n'
-        'rloss=0.16333333333333333\n'
-        'aveprec=0.9183333333333333\n'
-        'averecl=0.8366666666666667\n'
-        'aveF1=0.8755998733776512\n'
+        '0.153  0.153      0.153     0.153  0.923    0.847    0.883\n'
+        'hloss=0.15333333333333332\n'
+        'one-error=0.15333333333333332\n'
+        'coverage=0.15333333333333332\n'
+        'rloss=0.15333333333333332\n'
+        'aveprec=0.9233333333333333\n'
+        'averecl=0.8466666666666667\n'
+        'aveF1=0.8833396107972379\n'
     ),
 }
 
@@ -220,7 +221,7 @@ def test_eval_stdout_matches_golden(algo, tmp_path):
 # sha256 of the `miml train` model file; the solver-based learners' model
 # bytes must not move when a solver's bookkeeping changes (the mimlsvm value
 # comes from the Hausdorff kernel that is exact at the realizing pair).  The
-# subcod fit (m=28, M=9 sub-concepts) runs EM and the polishing QP and LP at
+# subcod fit (m=28, M=9 sub-concepts) runs EM and the polishing SVM and flips at
 # about the size of the SubCod benchmark fits; dmimlsvm runs its active-set QP.
 _MODEL_DATA = "T=3\nd=4\nm=40\nn_min=2\nn_max=5\nspread=1.0\nseed=7\n"
 _GOLDEN_MODEL_SHA = {
@@ -230,7 +231,7 @@ _GOLDEN_MODEL_SHA = {
                 "4315f2ed5bb1519d50e3431092dd460b28fc040fb272c1ef637bd7e49c18baba"),
     "subcod": ("T=2\nd=4\nn_min=2\nn_max=6\nspread=2.0\nm=28\nseed=7\n",
                "subcod.seed=1\n",
-               "90529ed1449bed8ebd71be7586ef3061c463bdf5aaec9ef4655c4d8d3acbbdfa"),
+               "daec8c73bc4dc3dc23f0925d2c236310bb3b5b3d9aec8db40cfa8ccd572b3cd8"),
     "dmimlsvm": ("T=3\nd=4\nn_min=1\nn_max=4\nspread=1.5\nm=12\nseed=7\n",
                  "dmiml.cccp_iters=3\ndmiml.seed=1\n",
                  "161fc8e68824061d041945112363fa0e08cc1cd516131677a15267644131ba53"),
@@ -249,7 +250,8 @@ def test_train_model_bytes_match_golden(algo, tmp_path):
 _GOLDEN_CV_M = {"mimlboost": 40, "mimlsvm": 80, "dmimlsvm": 16, "insdif": 120, "subcod": 40}
 
 # `miml cv --runs 3 --seed 1` stdout recorded when cv still scored each
-# test bag alone; batch scoring must not move a byte
+# test bag alone (subcod's since its polishing uses SMO and the greedy flip
+# step); batch scoring must not move a byte
 _GOLDEN_CV = {
     'mimlboost': (
         '           hloss      one-error  coverage   rloss      aveprec    averecl    aveF1    \n'
@@ -325,21 +327,21 @@ _GOLDEN_CV = {
     ),
     'subcod': (
         '        hloss      one-error  coverage   rloss      aveprec    averecl    aveF1    \n'
-        'subcod  .200±.100  .200±.100  .200±.100  .200±.100  .900±.050  .800±.100  .846±.078\n'
-        'subcod.hloss_mean=0.20000000000000004\n'
-        'subcod.hloss_std=0.09999999999999999\n'
-        'subcod.one-error_mean=0.20000000000000004\n'
-        'subcod.one-error_std=0.09999999999999999\n'
-        'subcod.coverage_mean=0.20000000000000004\n'
-        'subcod.coverage_std=0.09999999999999999\n'
-        'subcod.rloss_mean=0.20000000000000004\n'
-        'subcod.rloss_std=0.09999999999999999\n'
-        'subcod.aveprec_mean=0.8999999999999999\n'
+        'subcod  .300±.100  .300±.100  .300±.100  .300±.100  .850±.050  .700±.100  .767±.081\n'
+        'subcod.hloss_mean=0.3\n'
+        'subcod.hloss_std=0.1\n'
+        'subcod.one-error_mean=0.3\n'
+        'subcod.one-error_std=0.1\n'
+        'subcod.coverage_mean=0.3\n'
+        'subcod.coverage_std=0.1\n'
+        'subcod.rloss_mean=0.3\n'
+        'subcod.rloss_std=0.1\n'
+        'subcod.aveprec_mean=0.85\n'
         'subcod.aveprec_std=0.04999999999999999\n'
-        'subcod.averecl_mean=0.8000000000000002\n'
+        'subcod.averecl_mean=0.7000000000000001\n'
         'subcod.averecl_std=0.10000000000000003\n'
-        'subcod.aveF1_mean=0.8463750277792023\n'
-        'subcod.aveF1_std=0.07829343399172578\n'
+        'subcod.aveF1_mean=0.7668383482425227\n'
+        'subcod.aveF1_std=0.08067606412760357\n'
     ),
 }
 
@@ -438,16 +440,18 @@ def test_eval_unknown_algorithm_tag_is_data_error(tmp_path, capsys):
     assert "unknown algorithm tag 'xyz'" in capsys.readouterr().err
 
 
-def test_solver_pivot_limit_is_numerical_failure(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(lp, "_MAX_PIVOTS", 1)
-    data = _synth(tmp_path, "train", _GOLDEN_SETUP["subcod"][0] + "m=20\nseed=3\n")
-    (tmp_path / "subcod.cfg").write_text("subcod.seed=1\n")
-    code, _ = _run(["train", "--algo", "subcod", "--data", str(data), "--model",
-                    str(tmp_path / "m.model"), "--config", str(tmp_path / "subcod.cfg")])
+def test_solver_infeasible_start_is_numerical_failure(tmp_path, capsys, monkeypatch):
+    # below zero, no start passes the QP's start check
+    monkeypatch.setattr(qp, "_START_TOL", -1.0)
+    shape, m, config = _GOLDEN_SETUP["dmimlsvm"]
+    data = _synth(tmp_path, "train", shape + f"m={m}\nseed=3\n")
+    (tmp_path / "dmiml.cfg").write_text(config)
+    code, _ = _run(["train", "--algo", "dmimlsvm", "--data", str(data), "--model",
+                    str(tmp_path / "m.model"), "--config", str(tmp_path / "dmiml.cfg")])
     assert code == 3
-    assert re.search(r"numerical failure: simplex exceeded pivot limit: 1 pivots on a "
-                     r"\d+-row, \d+-column tableau \(phase \d; \d+ variables, \d+ "
-                     r"inequality and 0 equality rows\)", capsys.readouterr().err)
+    assert re.search(r"numerical failure: infeasible start: largest row violation "
+                     r"\S+ \(\d+ variables, \d+ inequality and 0 equality rows\)",
+                     capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("algo,config", [

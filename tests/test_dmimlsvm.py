@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
-from miml.core import Bag, MimlDataset
+from miml.core import Bag, MimlDataset, psi
 from miml.dmimlsvm import (
     DMimlConfig,
     compute_imbalance_rates,
     cutting_plane_solve,
     fit,
     label_matrix,
-    loss_value,
     objective_value,
     predict_many,
     tau_from_ibr,
@@ -19,6 +18,20 @@ from miml.kernels import KernelSpec, build_gram
 from miml.solvers import QpProblem, smo_solve, solve_qp
 
 from conftest import random_dataset
+
+
+def loss_value(ds, bag_scores, inst_scores, lam):
+    """Average hinge loss on bags plus lam-weighted l1 gap between each
+    bag's score and the max over its instances' scores."""
+    m, T = bag_scores.shape
+    hinge = 0.0
+    gap = 0.0
+    for i, (_, labels) in enumerate(ds.examples):
+        for t in range(T):
+            y = psi(labels, t, T)
+            hinge += max(0.0, 1.0 - y * bag_scores[i, t])
+            gap += abs(bag_scores[i, t] - inst_scores[i][:, t].max())
+    return hinge / (m * T) + lam * gap / (m * T)
 
 
 # ----------------------------------------------------------- loss pieces

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from miml.bagdist import hausdorff
 from miml.core import Bag, MimlDataset
 from miml.insdif import (
     InsDifConfig,
@@ -11,6 +10,8 @@ from miml.insdif import (
     instance_to_bag,
     predict_many,
 )
+
+from conftest import hausdorff
 
 
 def _single_instance_ds(rng, m=10, T=3, d=3):

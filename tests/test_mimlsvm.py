@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from miml.bagdist import hausdorff, pairwise_hausdorff
+from miml.bagdist import pairwise_hausdorff
 from miml.bench import SynthSpec, generate
 from miml.metrics import compute_report
 from miml.mimlsvm import MimlSvmConfig, _holdout_C, fit, predict_many, tcriterion
 
-from conftest import random_bag, random_dataset
+from conftest import hausdorff, random_bag, random_dataset
 
 
 def test_medoid_distances_against_per_medoid_oracle(rng):

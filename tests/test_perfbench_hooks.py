@@ -7,6 +7,10 @@ from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
+# wraps of the removed LP solver and of SubCod's former QP calls, which
+# perfbench/layers.py lists until the benchmark's next change
+_REMOVED = ["miml.subcod.solve_qp", "miml.subcod.solve_lp", "miml.solvers.qp.solve_lp"]
+
 
 def _load(name):
     spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
@@ -20,6 +24,6 @@ def test_every_traced_layer_is_present():
     tracer = spans.Tracer("hooks")
     try:
         layers.install(tracer)
-        assert tracer.absent == []
+        assert tracer.absent == _REMOVED
     finally:
         tracer.restore()

@@ -5,8 +5,6 @@ from miml import bench, dmimlsvm, subcod
 from miml.dmimlsvm import DMimlConfig
 from miml.kernels import KernelSpec, instance_gram
 from miml.solvers import (
-    InfeasibleError,
-    LpProblem,
     NumericalError,
     QpProblem,
     SolverError,
@@ -15,12 +13,14 @@ from miml.solvers import (
     lstsq_svd,
     minimize_1d_convex,
     smo_solve,
-    solve_lp,
     solve_qp,
     train_weighted_svm,
 )
-from miml.solvers import lp, qp
-from miml.subcod import SubCodConfig
+from miml.solvers import qp
+from miml.subcod import SubCodConfig, polish_objective
+
+import lp_oracle
+from lp_oracle import InfeasibleError, LpProblem, solve_lp
 
 
 # ------------------------------------------------------------ 1-d convex
@@ -89,7 +89,7 @@ def test_lstsq_local_optimality(rng):
         assert np.linalg.norm(Phi @ W2 - T) >= base - 1e-12
 
 
-# ------------------------------------------------------------ LP
+# ------------------------------------------------------------ LP oracle
 
 def test_lp_box_vertex():
     x, obj = solve_lp(LpProblem(c=[1.0], lb=[-1.0], ub=[1.0]))
@@ -150,23 +150,29 @@ def test_lp_random_vs_vertex_enumeration(rng):
 # ------------------------------------------------------------ QP
 
 def test_qp_examples():
-    r = solve_qp(QpProblem(Q=[[1.0]], c=[0.0], lb=[1.0]))
+    r = solve_qp(QpProblem(Q=[[1.0]], c=[0.0], lb=[1.0]), x0=[3.0])
     assert r.x[0] == pytest.approx(1.0, abs=1e-9)
     assert r.objective == pytest.approx(0.5, abs=1e-9)
 
-    r = solve_qp(QpProblem(Q=np.eye(2), c=[-1.0, -2.0]))
+    r = solve_qp(QpProblem(Q=np.eye(2), c=[-1.0, -2.0]), x0=np.zeros(2))
     assert np.allclose(r.x, [1.0, 2.0], atol=1e-8)
 
 
 def test_qp_infeasible():
-    with pytest.raises(InfeasibleError):
-        solve_qp(QpProblem(Q=[[1.0]], c=[0.0], lb=[2.0], ub=[1.0]))
+    # an empty box admits no start; the least violating one misses by 0.5
+    with pytest.raises(NumericalError, match=r"infeasible start: largest row violation "
+                                             r"5\.00e-01 \(1 variables, 2 inequality and "
+                                             r"0 equality rows\)"):
+        solve_qp(QpProblem(Q=[[1.0]], c=[0.0], lb=[2.0], ub=[1.0]), x0=[1.5])
+    # a violation within the start tolerance is accepted
+    r = solve_qp(QpProblem(Q=[[1.0]], c=[0.0], lb=[1.0]), x0=[1.0 - 0.5 * qp._START_TOL])
+    assert r.x[0] == pytest.approx(1.0, abs=qp._START_TOL)
 
 
 def test_qp_unbounded():
     with pytest.raises(UnboundedError, match=r"1 variables, 1 inequality and 0 equality "
                                              r"rows, working set of 0 at iteration \d+"):
-        solve_qp(QpProblem(Q=[[0.0]], c=[1.0], ub=[5.0]))
+        solve_qp(QpProblem(Q=[[0.0]], c=[1.0], ub=[5.0]), x0=[0.0])
 
 
 def test_qp_iteration_limit_names_size_and_state(monkeypatch):
@@ -176,11 +182,11 @@ def test_qp_iteration_limit_names_size_and_state(monkeypatch):
     with pytest.raises(NumericalError, match=r"iteration limit exceeded \(2 variables, "
                                              r"1 inequality and 1 equality rows, working "
                                              r"set of 0 at iteration 68\)"):
-        solve_qp(p)
+        solve_qp(p, x0=np.zeros(2))
 
 
 def test_lp_pivot_limit_names_size_and_state(monkeypatch):
-    monkeypatch.setattr(lp, "_MAX_PIVOTS", 1)
+    monkeypatch.setattr(lp_oracle, "_MAX_PIVOTS", 1)
     p = LpProblem(c=[1.0, 1.0], G=[[-1.0, -1.0]], h=[-1.0], lb=[0.0, 0.0], ub=[1.0, 1.0])
     with pytest.raises(NumericalError, match=r"pivot limit: 1 pivots on a 3-row, 6-column "
                                              r"tableau \(phase 1; 2 variables, 1 inequality "
@@ -211,7 +217,7 @@ def test_qp_random_box_vs_projected_gradient(rng):
         Q = M @ M.T + 0.5 * np.eye(n)
         c = rng.normal(size=n)
         lb, ub = -np.ones(n), np.ones(n)
-        r = solve_qp(QpProblem(Q=Q, c=c, lb=lb, ub=ub))
+        r = solve_qp(QpProblem(Q=Q, c=c, lb=lb, ub=ub), x0=np.zeros(n))
         x_pg = _projected_gradient_oracle(Q, c, lb, ub)
         obj_pg = 0.5 * x_pg @ Q @ x_pg + c @ x_pg
         assert r.objective <= obj_pg + 1e-8
@@ -221,14 +227,14 @@ def test_qp_random_box_vs_projected_gradient(rng):
 def test_qp_with_general_inequalities(rng):
     # min ||x||^2 s.t. x1 + x2 >= 2  ->  x = (1, 1)
     r = solve_qp(QpProblem(Q=2 * np.eye(2), c=[0.0, 0.0],
-                           G=[[-1.0, -1.0]], h=[-2.0]))
+                           G=[[-1.0, -1.0]], h=[-2.0]), x0=[2.0, 2.0])
     assert np.allclose(r.x, [1.0, 1.0], atol=1e-8)
 
 
 def test_qp_equality_constraints():
     # min x'x s.t. x1 + x2 = 1 -> (0.5, 0.5)
     r = solve_qp(QpProblem(Q=2 * np.eye(2), c=[0.0, 0.0],
-                           A=[[1.0, 1.0]], b=[1.0]))
+                           A=[[1.0, 1.0]], b=[1.0]), x0=[1.0, 0.0])
     assert np.allclose(r.x, [0.5, 0.5], atol=1e-8)
 
 
@@ -237,7 +243,7 @@ def test_qp_warm_start_matches_cold(rng):
     M = rng.normal(size=(n, n))
     Q = M @ M.T + np.eye(n)
     c = rng.normal(size=n)
-    cold = solve_qp(QpProblem(Q=Q, c=c, lb=-np.ones(n), ub=np.ones(n)))
+    cold = solve_qp(QpProblem(Q=Q, c=c, lb=-np.ones(n), ub=np.ones(n)), x0=np.ones(n))
     warm = solve_qp(QpProblem(Q=Q, c=c, lb=-np.ones(n), ub=np.ones(n)),
                     x0=np.zeros(n), active0=cold.active)
     assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
@@ -290,7 +296,7 @@ def test_svm_dual_matches_qp_oracle(rng):
     dual_obj = 0.5 * alpha @ Qd @ alpha - alpha.sum()
 
     r = solve_qp(QpProblem(Q=Qd, c=-np.ones(n), A=y[None, :], b=[0.0],
-                           lb=np.zeros(n), ub=C * w))
+                           lb=np.zeros(n), ub=C * w), x0=np.zeros(n))
     assert dual_obj == pytest.approx(r.objective, abs=1e-6)
 
 
@@ -432,180 +438,7 @@ def test_train_weighted_svm_precomputed_gram_is_identical(rng):
         train_weighted_svm(prob, spec, gram=np.eye(29))
 
 
-# ------------------------------------------------- LP and QP oracles
-
-def reference_pivot(tab, basis, row, col):
-    """The row-by-row pivot that preceded the vectorized one, kept verbatim
-    as the oracle of its tableau bytes."""
-    tab[row] /= tab[row, col]
-    for r in range(tab.shape[0]):
-        if r != row and tab[r, col] != 0.0:
-            tab[r] -= tab[r, col] * tab[row]
-    basis[row] = col
-
-
-def reference_run_simplex(tab, basis, ncols_opt):
-    """Optimize the tableau in place over columns [0, ncols_opt)."""
-    for it in range(lp._MAX_PIVOTS):
-        cost = tab[-1, :ncols_opt]
-        if it < lp._BLAND_AFTER:
-            col = int(np.argmin(cost))
-            if cost[col] >= -lp._TOL:
-                return
-        else:  # Bland: first improving column
-            neg = np.flatnonzero(cost < -lp._TOL)
-            if neg.size == 0:
-                return
-            col = int(neg[0])
-        colvals = tab[:-1, col]
-        rhs = tab[:-1, -1]
-        rows = np.flatnonzero(colvals > lp._TOL)
-        if rows.size == 0:
-            raise UnboundedError("objective unbounded below")
-        ratios = rhs[rows] / colvals[rows]
-        best = ratios.min()
-        cand = rows[ratios <= best + lp._TOL]
-        # ties: leave the variable with the smallest index (anti-cycling)
-        row = int(cand[np.argmin([basis[r] for r in cand])])
-        reference_pivot(tab, basis, row, col)
-    raise NumericalError("simplex exceeded pivot limit")
-
-
-def reference_solve_lp(p):
-    """The simplex solve whose pivot and standard-form mapping ran row by
-    row and column by column, kept verbatim (with the two functions above)
-    as the oracle of solve_lp's tableaux and solutions."""
-    c = np.asarray(p.c, dtype=np.float64).ravel()
-    nx = c.size
-    G = lp._as_2d(p.G, nx)
-    h = np.zeros(0) if p.h is None else np.asarray(p.h, dtype=np.float64).ravel()
-    A = lp._as_2d(p.A, nx)
-    b = np.zeros(0) if p.b is None else np.asarray(p.b, dtype=np.float64).ravel()
-    lb = np.full(nx, -np.inf) if p.lb is None else np.asarray(p.lb, dtype=np.float64)
-    ub = np.full(nx, np.inf) if p.ub is None else np.asarray(p.ub, dtype=np.float64)
-    if G.shape[0] != h.size or A.shape[0] != b.size:
-        raise ValueError("inconsistent constraint dimensions")
-    if np.any(lb > ub):
-        raise InfeasibleError("empty box")
-
-    # Standard-form columns: for each variable either one shifted column or a
-    # +/- split; record how to map back.
-    cols = []           # (var, sign, shift) per standard column
-    extra_rows = []     # upper-bound rows over standard columns
-    for j in range(nx):
-        if np.isfinite(lb[j]):
-            cols.append((j, 1.0, lb[j]))
-            if np.isfinite(ub[j]):
-                extra_rows.append((len(cols) - 1, ub[j] - lb[j]))
-        elif np.isfinite(ub[j]):
-            cols.append((j, -1.0, ub[j]))      # x = ub - v
-        else:
-            cols.append((j, 1.0, 0.0))
-            cols.append((j, -1.0, 0.0))
-    ns = len(cols)
-
-    def expand(M):
-        out = np.zeros((M.shape[0], ns))
-        for k, (j, s, _) in enumerate(cols):
-            out[:, k] = s * M[:, j]
-        return out
-
-    shift = np.zeros(nx)
-    for j, s, off in cols:
-        if s > 0 and off != 0.0:
-            shift[j] = off
-        elif s < 0:
-            shift[j] = off
-    # rhs adjustments for the shifts: row value at x = shift
-    g_shift = G @ shift if G.size else np.zeros(0)
-    a_shift = A @ shift if A.size else np.zeros(0)
-
-    Gs, hs = expand(G), h - g_shift
-    As, bs = expand(A), b - a_shift
-    n_ub = len(extra_rows)
-    Us = np.zeros((n_ub, ns))
-    us = np.zeros(n_ub)
-    for r, (k, cap) in enumerate(extra_rows):
-        Us[r, k] = 1.0
-        us[r] = cap
-
-    ineq = np.vstack([Gs, Us]) if (Gs.shape[0] or n_ub) else np.zeros((0, ns))
-    ineq_rhs = np.concatenate([hs, us])
-    n_ineq, n_eq = ineq.shape[0], As.shape[0]
-    nrows = n_ineq + n_eq
-    n_slack = n_ineq
-
-    # tableau columns: [standard vars | slacks | artificials | rhs]
-    body = np.zeros((nrows, ns + n_slack))
-    rhs = np.concatenate([ineq_rhs, bs])
-    body[:n_ineq, :ns] = ineq
-    body[n_ineq:, :ns] = As
-    body[:n_ineq, ns:ns + n_slack] = np.eye(n_ineq)
-    neg = rhs < 0
-    body[neg] *= -1.0
-    rhs = np.abs(rhs)
-
-    basis = [-1] * nrows
-    art_cols = []
-    for r in range(nrows):
-        if r < n_ineq and not neg[r]:
-            basis[r] = ns + r          # slack is basic
-        else:
-            art_cols.append(r)
-    n_art = len(art_cols)
-    tab = np.zeros((nrows + 1, ns + n_slack + n_art + 1))
-    tab[:-1, : ns + n_slack] = body
-    tab[:-1, -1] = rhs
-    for k, r in enumerate(art_cols):
-        tab[r, ns + n_slack + k] = 1.0
-        basis[r] = ns + n_slack + k
-
-    ncols = ns + n_slack + n_art
-    if n_art:
-        # phase 1: minimize the sum of artificials
-        tab[-1, ns + n_slack:ncols] = 1.0
-        for r in range(nrows):
-            if basis[r] >= ns + n_slack:
-                tab[-1] -= tab[r]
-        reference_run_simplex(tab, basis, ncols)
-        if tab[-1, -1] < -1e-7:
-            raise InfeasibleError("phase-1 optimum positive: no feasible point")
-        # drive leftover zero-level artificials out of the basis; a row with
-        # no real pivot candidate is redundant and gets dropped
-        redundant = []
-        for r in range(nrows):
-            if basis[r] >= ns + n_slack:
-                row = tab[r, : ns + n_slack]
-                nz = np.flatnonzero(np.abs(row) > lp._TOL)
-                if nz.size:
-                    reference_pivot(tab, basis, r, int(nz[0]))
-                else:
-                    redundant.append(r)
-        if redundant:
-            keep = [r for r in range(nrows) if r not in redundant]
-            tab = tab[keep + [nrows]]
-            basis = [basis[r] for r in keep]
-            nrows = len(keep)
-
-    # phase 2: drop artificial columns, install the real objective
-    tab = np.hstack([tab[:, : ns + n_slack], tab[:, -1:]])
-    tab[-1, :] = 0.0
-    for k, (j, s, _) in enumerate(cols):
-        tab[-1, k] = s * c[j]
-    for r in range(nrows):
-        if tab[-1, basis[r]] != 0.0:
-            tab[-1] -= tab[-1, basis[r]] * tab[r]
-    reference_run_simplex(tab, basis, ns + n_slack)
-
-    xs = np.zeros(ns)
-    for r in range(nrows):
-        if basis[r] < ns:
-            xs[basis[r]] = tab[r, -1]
-    x = shift.copy()
-    for k, (j, s, _) in enumerate(cols):
-        x[j] += s * xs[k] if s > 0 else -xs[k]
-    return x, float(c @ x)
-
+# ------------------------------------------------------ QP oracles
 
 def reference_eqp_step(Qr, g, M, ridge):
     """Exact minimizer step of min 1/2 p'Qr p + g'p s.t. M p = 0.
@@ -641,10 +474,24 @@ def reference_eqp_step(Qr, g, M, ridge):
     return p, mults
 
 
-def reference_phase1(c_dim, G, h, A, b):
-    lp = LpProblem(c=np.zeros(c_dim), G=G if G.size else None, h=h if h.size else None,
-                   A=A if A.size else None, b=b if b.size else None)
-    x, _ = reference_solve_lp(lp)
+def start_violation(p, x):
+    """The largest row violation of x in p."""
+    _, _, G, h, A, b = qp._fold(p)
+    return max(float(np.max(G @ x - h, initial=0.0)),
+               float(np.max(np.abs(A @ x - b), initial=0.0)))
+
+
+def feasible_start(p, x0=None):
+    """x0 if solve_qp accepts it as a start for p, else the test-side LP's
+    phase-1 point; for an infeasible p, the origin, which solve_qp rejects."""
+    n = np.asarray(p.c).size
+    if x0 is not None and start_violation(p, x0) <= qp._START_TOL:
+        return x0
+    _, _, G, h, A, b = qp._fold(p)
+    try:
+        x, _ = solve_lp(LpProblem(c=np.zeros(n), G=G, h=h, A=A, b=b))
+    except InfeasibleError:
+        return np.zeros(n)
     return x
 
 
@@ -663,27 +510,19 @@ def reference_independent_tight_rows(G, h, A, x, tol):
     return chosen
 
 
-def reference_solve_qp(p, x0=None, active0=None):
+def reference_solve_qp(p, x0, active0=None):
     """The active-set loop that rebuilt its null basis, reduced Hessian and
     multipliers at every step, kept verbatim (with its helpers above) as the
-    oracle of solve_qp's iterates; only the problem folding is the module's
-    own."""
+    oracle of solve_qp's iterates; only the problem folding and the start
+    check are the module's own."""
     Q, c, G, h, A, b = qp._fold(p)
     n = c.size
     ridge = qp._RIDGE * (1.0 + (np.max(np.abs(Q)) if Q.size else 0.0))
     Qr = Q + ridge * np.eye(n)
 
-    if x0 is not None:
-        x = np.asarray(x0, dtype=np.float64).copy()
-        viol = 0.0
-        if G.size:
-            viol = max(viol, float(np.max(G @ x - h, initial=0.0)))
-        if A.size:
-            viol = max(viol, float(np.max(np.abs(A @ x - b), initial=0.0)))
-        if viol > 1e-7:
-            x = reference_phase1(n, G, h, A, b)
-    else:
-        x = reference_phase1(n, G, h, A, b)
+    x = np.asarray(x0, dtype=np.float64).copy()
+    if start_violation(p, x) > qp._START_TOL:
+        raise NumericalError("infeasible start")
 
     if active0 is not None:
         W = [int(r) for r in active0 if abs(G[r] @ x - h[r]) <= 1e-7]
@@ -760,65 +599,7 @@ def _outcome(solve, *args, **kwargs):
         res = solve(*args, **kwargs)
     except SolverError as exc:
         return type(exc)
-    if isinstance(res, qp.QpResult):
-        return _bits(res.x), _bits(res.objective), res.active, res.iterations
-    x, obj = res
-    return _bits(x), _bits(obj)
-
-
-def test_pivot_bytes_match_reference_with_exact_and_signed_zeros():
-    rng = np.random.default_rng(20261018)
-    for case in range(200):
-        rows, cols = int(rng.integers(2, 40)), int(rng.integers(2, 30))
-        tab = rng.normal(size=(rows, cols))
-        # exact zeros, negative zeros and rounded (tied) entries in the
-        # pivot column and elsewhere
-        tab[rng.random((rows, cols)) < 0.4] = 0.0
-        tab[rng.random((rows, cols)) < 0.1] = -0.0
-        if case % 3 == 0:
-            tab = np.round(tab, 1)
-        col = int(rng.integers(cols))
-        row = int(rng.integers(rows))
-        tab[row, col] = rng.choice([1.0, -2.5, 0.3])
-        basis = list(rng.integers(0, cols, size=rows))
-        ref_tab, ref_basis = tab.copy(), list(basis)
-        reference_pivot(ref_tab, ref_basis, row, col)
-        lp._pivot(tab, basis, row, col)
-        assert tab.tobytes() == ref_tab.tobytes(), case
-        assert basis == ref_basis, case
-
-
-def _random_lp(rng, case):
-    """A seeded LP; the case index cycles through sparse rows (exact zeros
-    in the pivot columns), equalities, free and one-sided variables, and
-    infeasible and unbounded problems."""
-    n = int(rng.integers(2, 9))
-    k = int(rng.integers(1, 7))
-    G = rng.normal(size=(k, n))
-    if case % 2 == 0:
-        G[rng.random((k, n)) < 0.5] = 0.0
-    if case % 3 == 0:
-        G = np.round(G)
-    x_feas = rng.uniform(-1.0, 1.0, size=n)
-    h = G @ x_feas + rng.uniform(0.0, 1.0, size=k)
-    c = rng.normal(size=n)
-    lb, ub = -2.0 * np.ones(n), 2.0 * np.ones(n)
-    A = b = None
-    if case % 4 == 1:
-        A = rng.normal(size=(1, n))
-        b = A @ x_feas
-    if case % 5 == 2:      # a free (split) variable and a one-sided one
-        lb[0], ub[0], ub[1] = -np.inf, np.inf, np.inf
-    if case % 7 == 3:      # unbounded: a free direction that lowers c'x
-        lb[:], ub[:] = -np.inf, np.inf
-        G = np.zeros((0, n))
-        h = np.zeros(0)
-        A = b = None
-    if case % 11 == 4:     # infeasible: contradicting rows
-        e0 = np.eye(n)[:1]
-        G = np.vstack([G, e0, -e0])
-        h = np.concatenate([h, [-5.0], [-5.0]])
-    return LpProblem(c=c, G=G, h=h, A=A, b=b, lb=lb, ub=ub)
+    return _bits(res.x), _bits(res.objective), res.active, res.iterations
 
 
 def _recorded_calls(fit, ds, cfg, targets):
@@ -837,38 +618,111 @@ def _recorded_calls(fit, ds, cfg, targets):
 
 @pytest.fixture(scope="module")
 def subcod_polish_calls():
-    """SubCod's polishing QPs and flip LPs at its benchmark shape (m=28,
-    M=10 sub-concepts), recorded from one fit."""
+    """The inputs of SubCod's polishing weight and flip steps at its
+    benchmark shape (m=28, M=10 sub-concepts), recorded from one fit."""
     ds, _ = bench.generate(bench.SynthSpec(T=2, d=4, m=28, n_min=2, n_max=6,
                                            spread=2.0, seed=7))
     return _recorded_calls(subcod.fit, ds, SubCodConfig(M=10, seed=1),
-                           [(subcod, "solve_lp"), (subcod, "solve_qp")])
+                           [(subcod, "_polish_qp"), (subcod, "_polish_lp")])
 
 
-def test_lp_outcomes_bit_identical_to_reference():
+def polish_lp_problem(w, b, c, y, theta):
+    """SubCod's flip step at fixed (w, b) as an LP over (z, xi): minimize
+    sum xi subject to xi_i >= 1 - y_i (w . (c_i * z_i) + b), xi >= 0,
+    z in [-1, 1]^(m x M) and sum z >= 2*theta - 1."""
+    m, M = c.shape
+    nz = m * M
+    G = np.zeros((m + 1, nz + m))
+    for i in range(m):
+        G[i, i * M:(i + 1) * M] = -y[i] * (w * c[i])
+        G[i, nz + i] = -1.0
+    G[m, :nz] = -1.0
+    h = np.concatenate([-(1.0 - y * b), [-(2.0 * theta - 1.0)]])
+    return LpProblem(c=np.concatenate([np.zeros(nz), np.ones(m)]), G=G, h=h,
+                     lb=np.concatenate([-np.ones(nz), np.zeros(m)]),
+                     ub=np.concatenate([np.ones(nz), np.full(m, np.inf)]))
+
+
+def polish_qp_problem(Q_inputs, y, C):
+    """SubCod's weight step as the soft-margin primal over (w, b, xi), with
+    the feasible start w = 0, b = 0, xi = 1."""
+    m, M = Q_inputs.shape
+    nv = M + 1 + m
+    Q = np.zeros((nv, nv))
+    Q[:M, :M] = np.eye(M)
+    G = np.hstack([-y[:, None] * Q_inputs, -y[:, None], -np.eye(m)])
+    lb = np.concatenate([np.full(M + 1, -np.inf), np.zeros(m)])
+    x0 = np.concatenate([np.zeros(M + 1), np.ones(m)])
+    return QpProblem(Q=Q, c=np.concatenate([np.zeros(M + 1), np.full(m, C)]),
+                     G=G, h=-np.ones(m), lb=lb), x0
+
+
+def _hinge_sum(Z, w, b, c, y):
+    return float(np.maximum(0.0, 1.0 - y * ((c * Z) @ w + b)).sum())
+
+
+def _check_flips(w, b, c, y, theta):
+    """The greedy's hinge sum equals the LP optimum, its Z is feasible, and
+    it lowers no entry whose flip gains nothing."""
+    Z = subcod._polish_lp(w, b, c, y, theta)
+    _, best = solve_lp(polish_lp_problem(w, b, c, y, theta))
+    assert abs(_hinge_sum(Z, w, b, c, y) - best) <= 1e-12 * max(1.0, best)
+    assert np.all(np.abs(Z) <= 1.0) and Z.sum() >= 2 * theta - 1 - 1e-9
+    assert np.all(Z[y[:, None] * w[None, :] * c >= 0] == 1.0)
+
+
+def _check_weights(Q_inputs, y, C):
+    """polish_objective at SMO's (w, b) equals the QP optimum's."""
+    M = Q_inputs.shape[1]
+    ones = np.ones(Q_inputs.shape)
+    w, b = subcod._polish_qp(Q_inputs, y, C)
+    res = solve_qp(*polish_qp_problem(Q_inputs, y, C))
+    best = polish_objective(res.x[:M], float(res.x[M]), ones, Q_inputs, y, C)
+    assert abs(polish_objective(w, b, ones, Q_inputs, y, C) - best) <= 1e-8 * best
+
+
+def _random_polish(rng, case):
+    """(w, b, c, y, theta) of a seeded polish problem; the case index cycles
+    through zero and rounded (tied) weights and budgets from none to all."""
+    m, M = int(rng.integers(2, 13)), int(rng.integers(1, 7))
+    c = np.where(rng.random((m, M)) < 0.5, 1.0, -1.0)
+    y = np.where(rng.random(m) < 0.5, 1.0, -1.0)
+    y[:2] = 1.0, -1.0
+    w = rng.normal(size=M) * rng.choice([0.1, 1.0, 3.0])
+    if case % 3 == 0:
+        w = np.round(w)
+    if case % 5 == 0:
+        w[rng.random(M) < 0.3] = 0.0
+    theta = int(rng.integers(1, (m * M + 1) // 2 + 1))
+    return w, float(rng.normal()), c, y, theta
+
+
+def test_polish_flips_match_lp_oracle_on_random_problems():
     rng = np.random.default_rng(20261019)
-    kinds = set()
-    for case in range(150):
-        p = _random_lp(rng, case)
-        ref = _outcome(reference_solve_lp, p)
-        assert _outcome(solve_lp, p) == ref, case
-        kinds.add(ref if isinstance(ref, type) else "optimal")
-    assert kinds == {"optimal", InfeasibleError, UnboundedError}
+    for case in range(300):
+        _check_flips(*_random_polish(rng, case))
 
 
-def test_lp_bland_rule_bit_identical_to_reference(monkeypatch):
-    monkeypatch.setattr(lp, "_BLAND_AFTER", 0)
+def test_subcod_polish_flips_match_lp_oracle(subcod_polish_calls):
+    flips = [args for name, args, _ in subcod_polish_calls if name == "_polish_lp"]
+    assert flips and flips[0][2].shape == (28, 10)
+    for args in flips:
+        _check_flips(*args)
+
+
+def test_polish_weights_match_qp_oracle_on_random_problems():
     rng = np.random.default_rng(20261020)
-    for case in range(60):
-        p = _random_lp(rng, case)
-        assert _outcome(solve_lp, p) == _outcome(reference_solve_lp, p), case
+    for case in range(100):
+        w, b, c, y, theta = _random_polish(rng, case)
+        Z = rng.uniform(-1.0, 1.0, size=c.shape) if case % 2 else np.ones(c.shape)
+        _check_weights(c * Z, y, float(rng.choice([0.1, 1.0, 10.0])))
 
 
-def test_subcod_polish_lps_bit_identical_to_reference(subcod_polish_calls):
-    lps = [args[0] for name, args, _ in subcod_polish_calls if name == "solve_lp"]
-    assert lps and lps[0].c.size == 28 * 10 + 28
-    for p in lps:
-        assert _outcome(solve_lp, p) == _outcome(reference_solve_lp, p)
+def test_subcod_polish_weights_match_qp_oracle(subcod_polish_calls):
+    steps = [args for name, args, _ in subcod_polish_calls if name == "_polish_qp"]
+    assert steps and steps[0][0].shape == (28, 10)
+    for args in steps:
+        _check_weights(*args)
 
 
 def _random_qp(rng, case):
@@ -898,11 +752,10 @@ def _random_qp(rng, case):
         kwargs = {"ub": np.ones(n)}
         c = np.ones(n)
     p = QpProblem(Q=Q, c=c, **kwargs)
-    x0 = active0 = None
-    if case % 3 == 1:
-        x0 = np.zeros(n)
+    x0 = feasible_start(p, np.zeros(n) if case % 3 == 1 else None)
+    active0 = None
     if case % 6 == 1:
-        cold = _outcome(solve_qp, p)
+        cold = _outcome(solve_qp, p, x0=feasible_start(p))
         if not isinstance(cold, type):
             active0 = cold[2]
     return p, x0, active0
@@ -916,15 +769,7 @@ def test_qp_outcomes_bit_identical_to_reference():
         ref = _outcome(reference_solve_qp, p, x0=x0, active0=active0)
         assert _outcome(solve_qp, p, x0=x0, active0=active0) == ref, case
         kinds.add(ref if isinstance(ref, type) else "optimal")
-    assert kinds == {"optimal", InfeasibleError, UnboundedError}
-
-
-def test_subcod_polish_qps_bit_identical_to_reference(subcod_polish_calls):
-    qps = [(args, kwargs) for name, args, kwargs in subcod_polish_calls if name == "solve_qp"]
-    assert qps and qps[0][0][0].c.size == 10 + 1 + 28
-    for args, kwargs in qps:
-        assert (_outcome(solve_qp, *args, **kwargs)
-                == _outcome(reference_solve_qp, *args, **kwargs))
+    assert kinds == {"optimal", NumericalError, UnboundedError}
 
 
 def test_dmimlsvm_restricted_qps_bit_identical_to_reference():

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from miml import bench, cli
 from miml.core import Bag, MimlDataset
+from miml.metrics import compute_report
 from miml.subcod import (
     GmmModel,
     SubCodConfig,
@@ -212,6 +214,20 @@ def test_fit_recovers_planted_subconcepts(rng):
     planted = np.array(planted)
     agree = max(np.mean(assigns == planted), np.mean(assigns == 1 - planted))
     assert agree > 0.8
+
+
+def test_small_fit_beats_the_label_prior():
+    # a T=2, m=12 file on which polishing once flipped pseudo-labels whose
+    # flip gained no margin, leaving a model no better than the prior
+    shape = dict(T=2, d=4, n_min=2, n_max=6)
+    train, _ = bench.generate(bench.SynthSpec(m=12, seed=203407, **shape))
+    test, _ = bench.generate(bench.SynthSpec(m=500, seed=203499, **shape))
+    model, _ = cli.fit_with_config("subcod", train, {})
+    got = compute_report(predict_many(model, test.bags()), test.label_sets(), test.T)
+    prior = bench.fit_prior(train)
+    base = compute_report([prior.predict(b) for b in test.bags()], test.label_sets(), test.T)
+    assert got.ranking_loss < base.ranking_loss
+    assert got.avg_precision > base.avg_precision
 
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
