@@ -8,12 +8,18 @@ non-convex; a concave-convex (CCCP) outer loop replaces the max by a
 subgradient mixture rho and the convex subproblem is solved by per-label
 cutting planes with sampled constraint selection.
 
-Within a restricted QP the expansion alpha_t is parametrized over the span
-of the working constraints' kernel atoms (plus the other labels' summed
-coefficient direction when the coupling weight is positive); the optimum of
-the restricted problem lies in that span, so the reduction is exact while
-keeping the QP small.  A verification sweep over every constraint runs
-before returning, and slacks are lifted to exact feasibility.
+Each cutting-plane step re-solves one label's problem restricted to its
+working constraint rows, in the dual.  The variables are the multipliers nu
+of the working rows; the bias gives one equality and each bag's shared slack
+a cap (gamma tau/(mT) on its hinge row's multiplier, gamma lambda/(mT) on the
+sum over its instance and max-linearization rows), so an active-set step is
+one small dense solve.  The expansion alpha_t = -(beta + P nu)/kappa follows
+in closed form from the rows' signed kernel atoms P and the other labels'
+summed coefficients (through beta), so no basis for alpha is kept.  Solves
+are warm-started from the previous multipliers: a new row enters at zero and
+a dropped row takes its multiplier with it, so the start is always
+dual-feasible.  A verification sweep over every constraint runs before
+returning, and slacks are lifted to exact feasibility.
 """
 
 from dataclasses import dataclass, field
@@ -24,7 +30,9 @@ import numpy as np
 from .core import Bag, MimlDataset, psi, require_valid
 from .kernels import GramMatrix, KernelSpec, build_gram, kernel_against_objects
 from .metrics import LabelScores
-from .solvers import QpProblem, solve_qp
+from .solvers import NumericalError
+
+_STEPS_PER_ROW = 10   # the dual solve's step cap is this times (working rows + 1)
 
 
 @dataclass(frozen=True)
@@ -40,6 +48,20 @@ class DMimlConfig:
     seed: int = 0
     kernel_kind: str = field(default="rbf", metadata={"key": "kernel"})
     kernel_gamma: Optional[float] = None
+
+    def __post_init__(self):
+        # negative weights make the objective non-convex (and the dual's caps
+        # negative); eps <= 0 keeps the cutting-plane loop from terminating
+        for key, value, ok, need in (
+            ("cccp_iters", self.cccp_max_iters, self.cccp_max_iters >= 1, ">= 1"),
+            ("p", self.p, self.p >= 1, ">= 1"),
+            ("eps", self.eps, self.eps > 0, "> 0"),
+            ("lambda", self.lam, self.lam >= 0, ">= 0"),
+            ("mu", self.mu, self.mu >= 0, ">= 0"),
+            ("gamma", self.gamma, self.gamma >= 0, ">= 0"),
+        ):
+            if not ok:
+                raise ValueError(f"dmiml.{key} must be {need}, got {value}")
 
 
 @dataclass(eq=False)
@@ -167,51 +189,212 @@ class _Problem:
             return "inst", int(self.bag_of_inst[r]), r
         return "linmax", q - 2 * m - n, -1
 
+    def rows(self, S: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
+        """(is_hinge, bag) of the working rows S (no xi row ever enters one)."""
+        q = np.asarray(S, dtype=int)
+        m, n = self.m, self.n
+        inst = self.bag_of_inst[np.clip(q - 2 * m, 0, max(n - 1, 0))] if n else q
+        bag = np.where(q < m, q, np.where(q < 2 * m + n, inst, q - 2 * m - n))
+        return q < m, bag
+
+
+def _face(Q, free, y, bag, capped):
+    """A basis Z of the moves of the free multipliers that keep the bias
+    equality (over the free hinge rows) and every capped bag's sum, and the
+    eigenpairs (w, V) of the reduced Hessian Z'QZ.
+
+    The kept rows have disjoint supports, so each one is eliminated through
+    its first free member (the pivot)."""
+    yf = y[free]
+    hinge = yf != 0.0
+    kept = hinge | capped[bag[free]]
+    Z = np.eye(free.size)
+    if kept.any():
+        pos = np.flatnonzero(kept)
+        key = np.where(hinge[pos], -1, bag[free][pos])
+        coef = np.where(hinge[pos], yf[pos], 1.0)
+        keys, first = np.unique(key, return_index=True)
+        pivot = first[np.searchsorted(keys, key)]
+        Z[pos[pivot], pos] = -coef / coef[pivot]
+        Z = np.delete(Z, pos[first], axis=1)
+    w, V = np.linalg.eigh(Z.T @ Q[np.ix_(free, free)] @ Z)
+    return Z, w, V
+
+
+def _solve_dual(Q, f, y, bag, ub, cap, nu, capped, m, label):
+    """Active-set solve of the restricted problem's dual
+
+        min 1/2 nu'Q nu + f'nu  s.t.  sum_hinge y_q nu_q = 0,
+        0 <= nu_q <= ub_q on hinge rows (y_q = +-1),
+        nu_q >= 0 and sum_{q in bag i} nu_q <= cap on inst/linmax rows (y_q = 0),
+
+    from the feasible ``nu``.  The working set starts from the bounds that
+    are tight at ``nu`` and the bag caps in ``capped``; when every hinge
+    multiplier sits at a bound, one of them is left free so that the
+    equality stays independent (it cannot move alone).
+
+    Each step moves on the current face: a Newton step, or along a
+    zero-curvature descent direction (Q is often singular) that only a bound
+    can stop.  The step stops at the first blocking bound or cap, and a
+    blocking multiplier is snapped onto its bound.  After a full Newton step
+    (or when the reduced gradient vanishes) the point is the face minimizer,
+    and the most negative working multiplier is dropped.  Returns
+    ``(nu, capped, eta)``, where ``eta`` is the bias equality's multiplier
+    (None without hinge rows)."""
+    k = nu.size
+    hinge = y != 0.0
+    inner = ~hinge
+    nu = nu.copy()
+    fixed = np.where(nu == 0.0, -1, 0)            # -1 at 0, +1 at ub, 0 free
+    fixed[hinge & (ub > 0.0) & (nu == ub)] = 1
+    if hinge.any() and not np.any(fixed[hinge] == 0):
+        fixed[np.flatnonzero(hinge)[0]] = 0
+    capped = capped & (np.bincount(bag[inner & (fixed == 0)], minlength=m) > 0)
+    limit = _STEPS_PER_ROW * (k + 1)
+    new_face = True
+    for _ in range(limit):
+        if new_face:
+            free = np.flatnonzero(fixed == 0)
+            Z, w, V = _face(Q, free, y, bag, capped)
+            flat = w <= 1e-10 * max(float(w.max(initial=0.0)), 0.0)
+            new_face = minimized = False    # minimized: a full Newton step was taken
+        grad = Q @ nu + f
+        c = V.T @ (Z.T @ grad[free])
+        tol = 1e-11 * (1.0 + float(np.abs(grad).max(initial=0.0)))
+        slope = flat & (np.abs(c) > tol)
+        if not slope.any() and (minimized or float(np.abs(c).max(initial=0.0)) <= tol):
+            # at the face minimizer: the working set's multipliers
+            eta = None
+            mult = grad.copy()
+            if hinge.any():
+                fh = hinge & (fixed == 0)
+                eta = -float(np.mean(grad[fh] * y[fh]))
+                mult += eta * y
+            free_inner = inner & (fixed == 0)
+            cap_mult = np.zeros(m)
+            cap_mult[capped] = -(np.bincount(bag[free_inner], grad[free_inner], minlength=m)
+                                 / np.maximum(np.bincount(bag[free_inner], minlength=m),
+                                              1))[capped]
+            mult[inner] += cap_mult[bag[inner]]
+            mult = np.where(fixed == 1, -mult, mult)
+            movable = np.flatnonzero((fixed != 0) & ~(hinge & (ub == 0.0)))
+            worst, drop = -tol, None
+            if movable.size:
+                j = int(np.argmin(mult[movable]))
+                if mult[movable[j]] < worst:
+                    worst, drop = float(mult[movable[j]]), int(movable[j])
+            if capped.any():
+                i = int(np.argmin(np.where(capped, cap_mult, np.inf)))
+                if cap_mult[i] < worst:
+                    worst, drop = float(cap_mult[i]), ("cap", i)
+            if drop is None:
+                return nu, capped, eta
+            if isinstance(drop, tuple):
+                capped[drop[1]] = False
+            else:
+                fixed[drop] = 0
+            new_face = True
+            continue
+
+        p = np.zeros(k)
+        if slope.any():
+            p[free] = -(Z @ (V[:, slope] @ c[slope]))
+        else:
+            p[free] = -(Z @ (V[:, ~flat] @ (c[~flat] / w[~flat])))
+        alpha, block = (np.inf if slope.any() else 1.0), None
+
+        # ratio test: the first bound or bag cap the step reaches
+        tiny = 1e-12 * float(np.abs(p).max(initial=0.0))
+        down = free[p[free] < -tiny]
+        if down.size:
+            r = np.maximum(nu[down], 0.0) / -p[down]
+            j = int(np.argmin(r))
+            if r[j] < alpha:
+                alpha, block = float(r[j]), ("lo", int(down[j]))
+        up = free[(p[free] > tiny) & hinge[free]]
+        if up.size:
+            r = np.maximum(ub[up] - nu[up], 0.0) / p[up]
+            j = int(np.argmin(r))
+            if r[j] < alpha:
+                alpha, block = float(r[j]), ("ub", int(up[j]))
+        if inner.any():
+            rise = np.bincount(bag[inner], p[inner], minlength=m)
+            rise[capped] = 0.0
+            bags = np.flatnonzero(rise > tiny)
+            if bags.size:
+                total = np.bincount(bag[inner], nu[inner], minlength=m)
+                r = np.maximum(cap - total[bags], 0.0) / rise[bags]
+                j = int(np.argmin(r))
+                if r[j] < alpha:
+                    alpha, block = float(r[j]), ("cap", int(bags[j]))
+        if block is None and alpha == np.inf:
+            raise NumericalError(f"dual unbounded along a flat direction: label block "
+                                 f"{label}, {k} multipliers")
+        nu = np.clip(nu + alpha * p, 0.0, ub)
+        if block is None:
+            minimized = True
+            continue
+        kind, j = block
+        if kind == "cap":
+            capped[j] = True
+        else:
+            nu[j] = 0.0 if kind == "lo" else ub[j]
+            fixed[j] = -1 if kind == "lo" else 1
+        new_face = True
+    working = int(np.count_nonzero(fixed)) + int(capped.sum()) + int(hinge.any())
+    raise NumericalError(f"dual active-set step limit: label block {label}, {k} "
+                         f"multipliers, working set of {working} after {limit} steps")
+
 
 class _Block:
-    """Per-label cutting-plane state: working set, atom basis, solution."""
+    """Per-label cutting-plane state: working rows, their signed atoms and
+    multipliers, and the recovered solution."""
 
     def __init__(self, prob: _Problem, t: int):
         self.prob = prob
         self.t = t
         self.S: List[int] = []
         sz = prob.m + prob.n
-        self.B = np.zeros((sz, 0))      # atom columns
-        self.M = np.zeros((sz, 0))      # K @ B
-        self.theta = np.zeros(0)
+        self.P = np.zeros((sz, 0))      # signed atom of each working row
+        self.KP = np.zeros((sz, 0))     # K @ P
+        self.H = np.zeros((0, 0))       # P' K P
+        self.nu = np.zeros(0)           # multipliers of the working rows
+        self.capped = np.zeros(prob.m, dtype=bool)   # bags whose cap is in the working set
         self.b = 0.0
         self.xi = np.zeros(prob.m)
         self.delta = np.zeros(prob.m)
         self.alpha = np.zeros(sz)
         self.g = np.zeros(sz)           # K @ alpha
-        self.coupling_col = None        # index of the s_other column, if any
-        self.rho_cache = np.zeros(prob.n)
 
-    def atom_for(self, q: int, rho: np.ndarray) -> Optional[np.ndarray]:
+    def atom_for(self, q: int, rho: np.ndarray) -> np.ndarray:
+        """Signed atom p_q of a working row: the row reads p_q'K alpha - y b
+        - xi + 1 <= 0 (hinge) or p_q'K alpha - delta <= 0 (inst, linmax).
+        xi rows never enter a working set: their violation -xi is never
+        positive."""
         kind, i, r = self.prob.kind(q)
-        sz = self.prob.m + self.prob.n
+        m = self.prob.m
+        a = np.zeros(m + self.prob.n)
         if kind == "hinge":
-            a = np.zeros(sz)
-            a[i] = 1.0
-            return a
-        if kind == "inst":
-            a = np.zeros(sz)
-            a[self.prob.m + r] = 1.0
+            a[i] = -self.prob.Y[i, self.t]
+        elif kind == "inst":
+            a[m + r] = 1.0
             a[i] -= 1.0
-            return a
-        if kind == "linmax":
-            a = np.zeros(sz)
+        else:
             a[i] = 1.0
             lo, hi = self.prob.offsets[i], self.prob.offsets[i + 1]
-            a[self.prob.m + lo:self.prob.m + hi] -= rho[lo:hi, self.t]
-            return a
-        return None  # xi rows carry no atom
+            a[m + lo:m + hi] -= rho[lo:hi, self.t]
+        return a
 
-    def add_atom(self, a: np.ndarray):
+    def add_row(self, q: int, rho: np.ndarray):
+        """Append working row q with a zero multiplier (dual-feasible)."""
+        a = self.atom_for(q, rho)
         Ka = self.prob.K @ a
-        self.B = np.hstack([self.B, a[:, None]])
-        self.M = np.hstack([self.M, Ka[:, None]])
-        self.theta = np.append(self.theta, 0.0)
+        col = self.P.T @ Ka
+        self.S.append(q)
+        self.P = np.column_stack([self.P, a])
+        self.KP = np.column_stack([self.KP, Ka])
+        self.H = np.block([[self.H, col[:, None]], [col[None, :], np.array([[a @ Ka]])]])
+        self.nu = np.append(self.nu, 0.0)
 
     def losses(self, rho: np.ndarray) -> np.ndarray:
         """Violation of every pool constraint at the current point."""
@@ -231,133 +414,56 @@ class _Block:
         out[2 * m + prob.n:] = lin - self.delta
         return np.maximum(out, 0.0)
 
-    def repair(self, q: int):
-        """Lift the slack of constraint q so the current point satisfies it."""
-        kind, i, r = self.prob.kind(q)
-        t = self.t
-        if kind == "hinge":
-            need = 1.0 - self.prob.Y[i, t] * (self.g[i] + self.b)
-            self.xi[i] = max(self.xi[i], need, 0.0)
-        elif kind == "inst":
-            self.delta[i] = max(self.delta[i], self.g[self.prob.m + r] - self.g[i])
-        elif kind == "linmax":
-            lo, hi = self.prob.offsets[i], self.prob.offsets[i + 1]
-            lin = self.g[i] - self.rho_cache[lo:hi] @ self.g[self.prob.m + lo:self.prob.m + hi]
-            self.delta[i] = max(self.delta[i], lin)
+    def least_slacks(self):
+        """The least xi/delta that satisfy every working row at (g, b)."""
+        prob = self.prob
+        hinge, bag = prob.rows(self.S)
+        vals = self.P.T @ self.g            # p_q'K alpha of each working row
+        self.xi = np.zeros(prob.m)
+        self.delta = np.zeros(prob.m)
+        y = prob.Y[bag[hinge], self.t]
+        np.maximum.at(self.xi, bag[hinge], 1.0 + vals[hinge] - y * self.b)
+        np.maximum.at(self.delta, bag[~hinge], vals[~hinge])
 
     def solve(self, rho: np.ndarray, s_other: np.ndarray):
-        """Re-optimize this block over its working set (exact reduction)."""
+        """Re-optimize this block over its working rows through the dual.
+
+        With kappa = 1/T + 2 mu/T^2 and beta = (2 mu/T^2) s_other, the block's
+        terms of the objective are 1/2 kappa alpha'K alpha + beta'K alpha
+        plus the slack costs, so alpha = -(beta + P nu)/kappa in closed form
+        and the dual over nu is minimized by ``_solve_dual``; b is the bias
+        equality's multiplier and the slacks are the least ones the working
+        rows allow."""
         prob, t = self.prob, self.t
         cfg = prob.cfg
         m, T = prob.m, prob.T
-        self.rho_cache = rho[:, t]
+        kappa = 1.0 / T + 2.0 * cfg.mu / (T * T)
+        beta = (2.0 * cfg.mu / (T * T)) * s_other
+        hinge, bag = prob.rows(self.S)
+        y = np.where(hinge, prob.Y[bag, t], 0.0)
+        ub = np.where(hinge, cfg.gamma * prob.tau[bag, t] / (m * T), np.inf)
+        f = self.KP.T @ beta / kappa - hinge
+        self.nu, self.capped, eta = _solve_dual(
+            self.H / kappa, f, y, bag, ub, cfg.gamma * cfg.lam / (m * T),
+            self.nu, self.capped, m, t)
+        self.alpha = -(beta + self.P @ self.nu) / kappa
+        self.g = -(prob.K @ beta + self.KP @ self.nu) / kappa
+        if eta is not None:
+            self.b = eta
+        self.least_slacks()
 
-        # coupling column: the restricted optimum lies in the span of the
-        # constraint atoms plus the other labels' summed coefficients, so
-        # that direction joins the basis and is refreshed on every solve
-        use_coupling = cfg.mu > 0 and float(np.abs(s_other).max(initial=0.0)) > 0
-        if self.coupling_col is not None:
-            self.B[:, self.coupling_col] = s_other if use_coupling else 0.0
-            self.M[:, self.coupling_col] = prob.K @ self.B[:, self.coupling_col]
-            self.theta[self.coupling_col] = 0.0
-            self.alpha = self.B @ self.theta
-            self.g = prob.K @ self.alpha
-            for q in self.S:       # restore warm-point feasibility
-                self.repair(q)
-        elif use_coupling:
-            self.coupling_col = self.B.shape[1]
-            self.add_atom(s_other)
-
-        nd = self.B.shape[1]
-        G = self.M.T @ self.B if nd else np.zeros((0, 0))
-        G = (G + G.T) / 2.0
-
-        hinge_bags = sorted({self.prob.kind(q)[1] for q in self.S
-                             if self.prob.kind(q)[0] == "hinge"})
-        delta_bags = sorted({self.prob.kind(q)[1] for q in self.S
-                             if self.prob.kind(q)[0] in ("inst", "linmax")})
-        xi_pos = {i: nd + 1 + j for j, i in enumerate(hinge_bags)}
-        dl_pos = {i: nd + 1 + len(hinge_bags) + j for j, i in enumerate(delta_bags)}
-        nv = nd + 1 + len(hinge_bags) + len(delta_bags)
-
-        coef = 1.0 / T + 2.0 * cfg.mu / (T * T)
-        Q = np.zeros((nv, nv))
-        if nd:
-            Q[:nd, :nd] = coef * G
-        c = np.zeros(nv)
-        if nd:
-            c[:nd] = (2.0 * cfg.mu / (T * T)) * (self.M.T @ s_other)
-        for i in hinge_bags:
-            c[xi_pos[i]] = cfg.gamma * prob.tau[i, t] / (m * T)
-        for i in delta_bags:
-            c[dl_pos[i]] = cfg.gamma * cfg.lam / (m * T)
-
-        rows, rhs = [], []
-        for q in self.S:
-            kind, i, r = prob.kind(q)
-            row = np.zeros(nv)
-            if kind == "hinge":
-                y = prob.Y[i, t]
-                row[:nd] = -y * self.M[i]
-                row[nd] = -y
-                row[xi_pos[i]] = -1.0
-                rows.append(row)
-                rhs.append(-1.0)
-            elif kind == "inst":
-                row[:nd] = self.M[m + r] - self.M[i]
-                row[dl_pos[i]] = -1.0
-                rows.append(row)
-                rhs.append(0.0)
-            elif kind == "linmax":
-                lo, hi = prob.offsets[i], prob.offsets[i + 1]
-                row[:nd] = self.M[i] - rho[lo:hi, t] @ self.M[m + lo:m + hi]
-                row[dl_pos[i]] = -1.0
-                rows.append(row)
-                rhs.append(0.0)
-
-        lb = np.full(nv, -np.inf)
-        for i in hinge_bags:
-            lb[xi_pos[i]] = 0.0
-        for i in delta_bags:
-            lb[dl_pos[i]] = 0.0
-
-        x0 = np.zeros(nv)
-        x0[:nd] = self.theta
-        x0[nd] = self.b
-        for i in hinge_bags:
-            x0[xi_pos[i]] = self.xi[i]
-        for i in delta_bags:
-            x0[dl_pos[i]] = self.delta[i]
-
-        res = solve_qp(
-            QpProblem(Q=Q, c=c,
-                      G=np.array(rows) if rows else None,
-                      h=np.array(rhs) if rows else None,
-                      lb=lb),
-            x0=x0,
-        )
-        x = res.x
-        self.theta = x[:nd].copy()
-        self.b = float(x[nd])
-        self.xi = np.zeros(m)
-        self.delta = np.zeros(m)
-        for i in hinge_bags:
-            self.xi[i] = max(0.0, float(x[xi_pos[i]]))
-        for i in delta_bags:
-            self.delta[i] = max(0.0, float(x[dl_pos[i]]))
-        self.alpha = self.B @ self.theta if nd else np.zeros(prob.m + prob.n)
-        self.g = prob.K @ self.alpha
-
-    def rewarm(self, rho: np.ndarray):
-        """Prepare for a new rho: drop rho-dependent working rows (their
-        atom columns stay as valid search directions) and re-lift slacks so
-        the carried point is feasible for the reduced working set."""
-        self.S = [q for q in self.S if self.prob.kind(q)[0] != "linmax"]
-        self.rho_cache = rho[:, self.t]
-        self.xi = np.zeros(self.prob.m)
-        self.delta = np.zeros(self.prob.m)
-        for q in self.S:
-            self.repair(q)
+    def rewarm(self):
+        """Prepare for a new rho: drop the rho-dependent (linmax) working rows
+        with their multipliers (the rest stay dual-feasible; a bag that lost
+        rows leaves its cap) and re-lift slacks for the reduced working set."""
+        _, bag = self.prob.rows(self.S)
+        keep = np.asarray(self.S, dtype=int) < 2 * self.prob.m + self.prob.n
+        self.capped[bag[~keep]] = False
+        self.S = [q for q, k in zip(self.S, keep) if k]
+        self.P, self.KP = self.P[:, keep], self.KP[:, keep]
+        self.H = self.H[np.ix_(keep, keep)]
+        self.nu = self.nu[keep]
+        self.least_slacks()
 
     def lift_slacks(self, rho: np.ndarray):
         """Raise xi/delta to exact feasibility over every constraint."""
@@ -410,7 +516,7 @@ def cutting_plane_solve(gram: GramMatrix, Y: np.ndarray, rho: np.ndarray,
         blocks = warm
         for blk in blocks:
             blk.prob = prob
-            blk.rewarm(rho)
+            blk.rewarm()
     qp_solves = 0
 
     def s_other(t):
@@ -423,12 +529,7 @@ def cutting_plane_solve(gram: GramMatrix, Y: np.ndarray, rho: np.ndarray,
     def add_and_solve(t, q):
         nonlocal qp_solves
         blk = blocks[t]
-        blk.rho_cache = rho[:, t]
-        atom = blk.atom_for(q, rho)
-        blk.S.append(q)
-        if atom is not None:
-            blk.add_atom(atom)
-        blk.repair(q)
+        blk.add_row(q, rho)
         blk.solve(rho, s_other(t))
         qp_solves += 1
 
@@ -474,7 +575,10 @@ def cutting_plane_solve(gram: GramMatrix, Y: np.ndarray, rho: np.ndarray,
         if not added:
             break
     else:
-        raise RuntimeError("cutting-plane loop failed to terminate")
+        raise NumericalError(
+            f"cutting-plane loop did not terminate after {guard} rounds ({prob.T} label "
+            f"blocks, pool of {prob.pool} constraints, working sets "
+            f"{[len(blk.S) for blk in blocks]})")
 
     for t in range(prob.T):
         blocks[t].lift_slacks(rho)

@@ -1,16 +1,15 @@
-"""In-house numerical workhorses: weighted kernel SVM (SMO), dense
-active-set QP from a feasible start, SVD least squares, and golden-section
-1-d minimization."""
+"""In-house numerical workhorses: weighted kernel SVM (SMO), SVD least
+squares, and golden-section 1-d minimization.  D-MimlSvm's restricted
+problems are solved in their dual inside ``miml.dmimlsvm``; no general QP
+or LP solver is part of the package."""
 
-from .errors import NumericalError, SolverError, UnboundedError
+from .errors import NumericalError, SolverError
 from .lstsq import lstsq_svd
-from .qp import QpProblem, QpResult, solve_qp
 from .scalar import minimize_1d_convex
 from .svm import SvmDecision, WeightedBinaryProblem, smo_solve, train_weighted_svm
 
 __all__ = [
-    "SolverError", "UnboundedError", "NumericalError",
-    "QpProblem", "QpResult", "solve_qp",
+    "SolverError", "NumericalError",
     "lstsq_svd", "minimize_1d_convex",
     "SvmDecision", "WeightedBinaryProblem", "smo_solve", "train_weighted_svm",
 ]

@@ -19,11 +19,15 @@ from typing import Optional
 
 import numpy as np
 
-from miml.solvers import NumericalError, SolverError, UnboundedError
+from miml.solvers import NumericalError, SolverError
 
 
 class InfeasibleError(SolverError):
     """The constraint set admits no feasible point."""
+
+
+class UnboundedError(SolverError):
+    """The objective is unbounded below over the feasible set."""
 
 
 _TOL = 1e-9

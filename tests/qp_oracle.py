@@ -1,4 +1,7 @@
-"""Dense active-set solver for small convex quadratic programs.
+"""Dense active-set solver for small convex quadratic programs, kept in
+the tests as an independent oracle: D-MimlSvm's restricted problems are
+solved in the dual, and the tests solve the same problems in the primal
+with this solver.
 
 Solves min 1/2 x'Qx + c'x subject to G x <= h, A x == b and box bounds.
 Q must be symmetric positive semidefinite; a tiny ridge keeps the
@@ -11,12 +14,7 @@ basis and the eigendecomposition of the reduced Hessian depend only on the
 working set, so they are kept while the working set is unchanged in content
 and order (after a full, unblocked step) and recomputed from the same
 stacked rows otherwise; only the gradient projection is redone.  The
-multipliers of the working rows are read only at a zero step, so the
-least-squares solve for them runs only there, on the same arguments as
-before.  Nothing is updated incrementally: every array the iteration reads
-is computed by the same operations on the same inputs as when everything
-was rebuilt at every step, so iterates, working sets and iteration counts
-are bit-identical to that form.
+multipliers of the working rows are read only at a zero step.
 """
 
 from dataclasses import dataclass
@@ -24,7 +22,9 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import NumericalError, UnboundedError
+from miml.solvers import NumericalError
+
+from lp_oracle import UnboundedError
 
 _START_TOL = 1e-7   # a start's allowed row violation; an active0 row's slack
 _RIDGE = 1e-9   # keeps the KKT systems solvable without visibly moving optima

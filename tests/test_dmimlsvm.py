@@ -15,9 +15,10 @@ from miml.dmimlsvm import (
     update_rho,
 )
 from miml.kernels import KernelSpec, build_gram
-from miml.solvers import QpProblem, smo_solve, solve_qp
+from miml.solvers import smo_solve
 
 from conftest import random_dataset
+from qp_oracle import QpProblem, solve_qp
 
 
 def loss_value(ds, bag_scores, inst_scores, lam):

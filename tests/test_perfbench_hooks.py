@@ -7,9 +7,10 @@ from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
-# wraps of the removed LP solver and of SubCod's former QP calls, which
-# perfbench/layers.py lists until the benchmark's next change
-_REMOVED = ["miml.subcod.solve_qp", "miml.subcod.solve_lp", "miml.solvers.qp.solve_lp"]
+# wraps of the removed LP solver and of the former QP calls of D-MimlSvm and
+# SubCod, which perfbench/layers.py lists until the benchmark's next change
+_REMOVED = ["miml.dmimlsvm.solve_qp", "miml.subcod.solve_qp", "miml.subcod.solve_lp",
+            "miml.solvers.qp.solve_lp"]
 
 
 def _load(name):

@@ -6,21 +6,18 @@ from miml.dmimlsvm import DMimlConfig
 from miml.kernels import KernelSpec, instance_gram
 from miml.solvers import (
     NumericalError,
-    QpProblem,
-    SolverError,
-    UnboundedError,
     WeightedBinaryProblem,
     lstsq_svd,
     minimize_1d_convex,
     smo_solve,
-    solve_qp,
     train_weighted_svm,
 )
-from miml.solvers import qp
 from miml.subcod import SubCodConfig, polish_objective
 
 import lp_oracle
-from lp_oracle import InfeasibleError, LpProblem, solve_lp
+import qp_oracle
+from lp_oracle import InfeasibleError, LpProblem, UnboundedError, solve_lp
+from qp_oracle import QpProblem, solve_qp
 
 
 # ------------------------------------------------------------ 1-d convex
@@ -147,7 +144,7 @@ def test_lp_random_vs_vertex_enumeration(rng):
         assert obj == pytest.approx(best, abs=1e-7)
 
 
-# ------------------------------------------------------------ QP
+# ------------------------------------------------------------ QP oracle
 
 def test_qp_examples():
     r = solve_qp(QpProblem(Q=[[1.0]], c=[0.0], lb=[1.0]), x0=[3.0])
@@ -165,8 +162,8 @@ def test_qp_infeasible():
                                              r"0 equality rows\)"):
         solve_qp(QpProblem(Q=[[1.0]], c=[0.0], lb=[2.0], ub=[1.0]), x0=[1.5])
     # a violation within the start tolerance is accepted
-    r = solve_qp(QpProblem(Q=[[1.0]], c=[0.0], lb=[1.0]), x0=[1.0 - 0.5 * qp._START_TOL])
-    assert r.x[0] == pytest.approx(1.0, abs=qp._START_TOL)
+    r = solve_qp(QpProblem(Q=[[1.0]], c=[0.0], lb=[1.0]), x0=[1.0 - 0.5 * qp_oracle._START_TOL])
+    assert r.x[0] == pytest.approx(1.0, abs=qp_oracle._START_TOL)
 
 
 def test_qp_unbounded():
@@ -177,7 +174,7 @@ def test_qp_unbounded():
 
 def test_qp_iteration_limit_names_size_and_state(monkeypatch):
     # a step rule that never settles runs into the 50 + 6 (n + rows) budget
-    monkeypatch.setattr(qp, "_eqp_step", lambda Z, w, V, g, ridge: np.full(g.size, 1e-3))
+    monkeypatch.setattr(qp_oracle, "_eqp_step", lambda Z, w, V, g, ridge: np.full(g.size, 1e-3))
     p = QpProblem(Q=np.eye(2), c=[0.0, 0.0], G=[[1.0, 1.0]], h=[1e6], A=[[1.0, -1.0]], b=[0.0])
     with pytest.raises(NumericalError, match=r"iteration limit exceeded \(2 variables, "
                                              r"1 inequality and 1 equality rows, working "
@@ -438,169 +435,7 @@ def test_train_weighted_svm_precomputed_gram_is_identical(rng):
         train_weighted_svm(prob, spec, gram=np.eye(29))
 
 
-# ------------------------------------------------------ QP oracles
-
-def reference_eqp_step(Qr, g, M, ridge):
-    """Exact minimizer step of min 1/2 p'Qr p + g'p s.t. M p = 0.
-
-    Null-space method: reduce onto an orthonormal null basis of M and solve
-    the (positive definite, thanks to the ridge) reduced system by a
-    symmetric eigendecomposition.  Returns (p, multipliers-for-M-rows)."""
-    n = g.size
-    if M.shape[0]:
-        _, s, Vt = np.linalg.svd(M, full_matrices=True)
-        r = int(np.sum(s > 1e-10 * max(1.0, s[0] if s.size else 0.0)))
-        Z = Vt[r:].T
-    else:
-        Z = np.eye(n)
-    if Z.shape[1] == 0:
-        p = np.zeros(n)
-    else:
-        H = Z.T @ Qr @ Z
-        H = (H + H.T) / 2.0
-        w, V = np.linalg.eigh(H)
-        w = np.maximum(w, 0.5 * ridge)
-        gz = V.T @ (Z.T @ -g)
-        # near-flat modes amplify gradient noise by 1/ridge; move along them
-        # only when the gradient component is real
-        atol = 1e-10 * (1.0 + float(np.max(np.abs(g))))
-        keep = (w > 2.0 * ridge) | (np.abs(gz) > atol)
-        u = np.where(keep, gz / w, 0.0)
-        p = Z @ (V @ u)
-    if M.shape[0]:
-        mults, *_ = np.linalg.lstsq(M.T, -(g + Qr @ p), rcond=None)
-    else:
-        mults = np.zeros(0)
-    return p, mults
-
-
-def start_violation(p, x):
-    """The largest row violation of x in p."""
-    _, _, G, h, A, b = qp._fold(p)
-    return max(float(np.max(G @ x - h, initial=0.0)),
-               float(np.max(np.abs(A @ x - b), initial=0.0)))
-
-
-def feasible_start(p, x0=None):
-    """x0 if solve_qp accepts it as a start for p, else the test-side LP's
-    phase-1 point; for an infeasible p, the origin, which solve_qp rejects."""
-    n = np.asarray(p.c).size
-    if x0 is not None and start_violation(p, x0) <= qp._START_TOL:
-        return x0
-    _, _, G, h, A, b = qp._fold(p)
-    try:
-        x, _ = solve_lp(LpProblem(c=np.zeros(n), G=G, h=h, A=A, b=b))
-    except InfeasibleError:
-        return np.zeros(n)
-    return x
-
-
-def reference_independent_tight_rows(G, h, A, x, tol):
-    """Indices of rows tight at x, added only while they increase the rank."""
-    tight = np.flatnonzero(np.abs(G @ x - h) <= tol) if G.size else np.array([], dtype=int)
-    chosen = []
-    stack = A.copy() if A.size else np.zeros((0, x.size))
-    for r in tight:
-        cand = np.vstack([stack, G[r]])
-        if np.linalg.matrix_rank(cand, tol=1e-10) > np.linalg.matrix_rank(stack, tol=1e-10):
-            chosen.append(int(r))
-            stack = cand
-        if stack.shape[0] >= x.size:
-            break
-    return chosen
-
-
-def reference_solve_qp(p, x0, active0=None):
-    """The active-set loop that rebuilt its null basis, reduced Hessian and
-    multipliers at every step, kept verbatim (with its helpers above) as the
-    oracle of solve_qp's iterates; only the problem folding and the start
-    check are the module's own."""
-    Q, c, G, h, A, b = qp._fold(p)
-    n = c.size
-    ridge = qp._RIDGE * (1.0 + (np.max(np.abs(Q)) if Q.size else 0.0))
-    Qr = Q + ridge * np.eye(n)
-
-    x = np.asarray(x0, dtype=np.float64).copy()
-    if start_violation(p, x) > qp._START_TOL:
-        raise NumericalError("infeasible start")
-
-    if active0 is not None:
-        W = [int(r) for r in active0 if abs(G[r] @ x - h[r]) <= 1e-7]
-    else:
-        W = reference_independent_tight_rows(G, h, A, x, 1e-9)
-
-    n_eq = A.shape[0]
-    max_iter = 50 + 6 * (n + G.shape[0])
-    for it in range(max_iter):
-        g = Qr @ x + c
-        M = np.vstack([A, G[W]]) if (n_eq or W) else np.zeros((0, n))
-        step, mults = reference_eqp_step(Qr, g, M, ridge)
-
-        if np.max(np.abs(step), initial=0.0) <= 1e-10 * (1.0 + np.max(np.abs(x))):
-            lam = mults[n_eq:]
-            if lam.size == 0 or np.min(lam) >= -1e-9:
-                break
-            drop = int(np.argmin(lam))
-            W.pop(drop)
-            continue
-
-        # ratio test against rows outside the working set
-        alpha, block = 1.0, -1
-        if G.size:
-            outside = np.setdiff1d(np.arange(G.shape[0]), W, assume_unique=False)
-            if outside.size:
-                adv = G[outside] @ step
-                mask = adv > 1e-12
-                if mask.any():
-                    slack = h[outside[mask]] - G[outside[mask]] @ x
-                    ratios = np.maximum(slack, 0.0) / adv[mask]
-                    j = int(np.argmin(ratios))
-                    if ratios[j] < alpha:
-                        alpha = float(ratios[j])
-                        block = int(outside[mask][j])
-        x = x + alpha * step
-        if block >= 0:
-            W.append(block)
-    else:
-        raise NumericalError("active-set iteration limit exceeded")
-
-    # a flat descent direction only stops at the ridge scale; treat that as
-    # an unbounded objective (legitimate desk-scale solutions are far smaller)
-    if np.max(np.abs(x)) > 1e-3 / ridge:
-        raise UnboundedError("solution norm blew up; objective likely unbounded")
-
-    # final KKT verification on the original (un-ridged) problem
-    feas = float(np.max(G @ x - h, initial=0.0)) if G.size else 0.0
-    if A.size:
-        feas = max(feas, float(np.max(np.abs(A @ x - b))))
-    g0 = Q @ x + c
-    M = np.vstack([A, G[W]]) if (n_eq or W) else np.zeros((0, n))
-    if M.size:
-        mults, *_ = np.linalg.lstsq(M.T, -g0, rcond=None)
-        stat = float(np.max(np.abs(g0 + M.T @ mults)))
-    else:
-        stat = float(np.max(np.abs(g0), initial=0.0))
-    scale = 1.0 + float(np.max(np.abs(c), initial=0.0))
-    if feas > 1e-6 * scale or stat > 1e-6 * scale:
-        raise NumericalError(
-            f"KKT check failed: feasibility {feas:.2e}, stationarity {stat:.2e}"
-        )
-    obj = float(0.5 * x @ Q @ x + c @ x)
-    return qp.QpResult(x=x, objective=obj, active=tuple(sorted(W)), iterations=it + 1)
-
-
-def _bits(v):
-    return np.asarray(v, dtype=np.float64).view(np.int64).tolist()
-
-
-def _outcome(solve, *args, **kwargs):
-    """A solver's result as comparable bits, or the type of its error."""
-    try:
-        res = solve(*args, **kwargs)
-    except SolverError as exc:
-        return type(exc)
-    return _bits(res.x), _bits(res.objective), res.active, res.iterations
-
+# ------------------------------------------------- recorded solver inputs
 
 def _recorded_calls(fit, ds, cfg, targets):
     """(name, args, kwargs) of every call to the (module, name) targets
@@ -725,60 +560,116 @@ def test_subcod_polish_weights_match_qp_oracle(subcod_polish_calls):
         _check_weights(*args)
 
 
-def _random_qp(rng, case):
-    """A seeded convex QP with a start; the case index cycles through box,
-    general inequality and equality constraints, semidefinite Q, warm
-    starts with and without an active set, and infeasible and unbounded
-    problems.  Returns (problem, x0, active0)."""
-    n = int(rng.integers(1, 9))
-    B = rng.normal(size=(n, n))
-    Q = B @ B.T + (0.1 * np.eye(n) if case % 3 else 0.0)
-    if case % 5 == 0:
-        Q[:, -1] = Q[-1, :] = 0.0          # a flat direction
-    c = rng.normal(size=n)
-    kwargs = {"lb": -np.ones(n), "ub": np.ones(n)}
-    if case % 2 == 1:
-        k = int(rng.integers(1, 6))
-        G = rng.normal(size=(k, n))
-        G[rng.random((k, n)) < 0.3] = 0.0
-        kwargs.update(G=G, h=G @ rng.uniform(-0.5, 0.5, size=n) + rng.uniform(0.0, 0.5, size=k))
-    if case % 4 == 2:
-        A = rng.normal(size=(1, n))
-        kwargs.update(A=A, b=A @ rng.uniform(-0.5, 0.5, size=n))
-    if case % 9 == 4:      # infeasible box
-        kwargs.update(lb=np.ones(n), ub=-np.ones(n))
-    if case % 13 == 6:     # unbounded: linear cost along a flat, free direction
-        Q = np.zeros((n, n))
-        kwargs = {"ub": np.ones(n)}
-        c = np.ones(n)
-    p = QpProblem(Q=Q, c=c, **kwargs)
-    x0 = feasible_start(p, np.zeros(n) if case % 3 == 1 else None)
-    active0 = None
-    if case % 6 == 1:
-        cold = _outcome(solve_qp, p, x0=feasible_start(p))
-        if not isinstance(cold, type):
-            active0 = cold[2]
-    return p, x0, active0
 
 
-def test_qp_outcomes_bit_identical_to_reference():
-    rng = np.random.default_rng(20261021)
-    kinds = set()
-    for case in range(200):
-        p, x0, active0 = _random_qp(rng, case)
-        ref = _outcome(reference_solve_qp, p, x0=x0, active0=active0)
-        assert _outcome(solve_qp, p, x0=x0, active0=active0) == ref, case
-        kinds.add(ref if isinstance(ref, type) else "optimal")
-    assert kinds == {"optimal", NumericalError, UnboundedError}
+# ------------------------------------------- D-MimlSvm's dual vs the primal
+
+def _recorded_dual_solves(ds, cfg):
+    """Each ``_Block.solve`` of ``dmimlsvm.fit(ds, cfg)``: the block's
+    problem, label, working rows, rho and s_other, and what the dual solve
+    returned (multipliers, alpha, b, xi, delta)."""
+    records = []
+    solve = dmimlsvm._Block.solve
+
+    def record(blk, rho, s_other):
+        solve(blk, rho, s_other)
+        records.append((blk.prob, blk.t, list(blk.S), rho.copy(), s_other.copy(),
+                        blk.nu.copy(), blk.alpha.copy(), blk.b, blk.xi.copy(),
+                        blk.delta.copy()))
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dmimlsvm._Block, "solve", record)
+        dmimlsvm.fit(ds, cfg)
+    return records
 
 
-def test_dmimlsvm_restricted_qps_bit_identical_to_reference():
-    ds, _ = bench.generate(bench.SynthSpec(T=3, d=4, m=8, n_min=1, n_max=4,
-                                           spread=1.5, seed=3))
-    calls = _recorded_calls(dmimlsvm.fit, ds, DMimlConfig(cccp_max_iters=2, seed=1),
-                            [(dmimlsvm, "solve_qp")])
-    # the cutting-plane loop warm-starts each restricted QP from its last point
-    assert len(calls) > 10 and all(kwargs.get("x0") is not None for _, _, kwargs in calls)
-    for _, args, kwargs in calls:
-        assert (_outcome(solve_qp, *args, **kwargs)
-                == _outcome(reference_solve_qp, *args, **kwargs))
+def _check_dual_solve(prob, t, S, rho, s_other, nu, alpha, b, xi, delta):
+    """Build the block's restricted primal over (alpha, b, xi, delta) the
+    way ``full_qp_objective`` builds the full one, but with only the working
+    rows S, and solve it with the test-side QP.  The dual solve's recovered
+    point must satisfy every working row, reach the primal optimum, and
+    close the duality gap with its multipliers, which must be dual-feasible.
+    Returns which constraints bind the multipliers: (a hinge multiplier at
+    its cap, one strictly inside its box, a bag cap reached)."""
+    K, m, n, off, cfg, T = prob.K, prob.m, prob.n, prob.offsets, prob.cfg, prob.T
+    kappa = 1.0 / T + 2.0 * cfg.mu / (T * T)
+    beta = (2.0 * cfg.mu / (T * T)) * s_other
+    na = m + n
+    kinds = [prob.kind(q) for q in S]
+    hinge_bags = sorted({i for kind, i, _ in kinds if kind == "hinge"})
+    delta_bags = sorted({i for kind, i, _ in kinds if kind != "hinge"})
+    slack = {("hinge", i): na + 1 + j for j, i in enumerate(hinge_bags)}
+    slack.update({("delta", i): na + 1 + len(hinge_bags) + j for j, i in enumerate(delta_bags)})
+    nv = na + 1 + len(slack)
+    Q = np.zeros((nv, nv))
+    Q[:na, :na] = kappa * K
+    c = np.zeros(nv)
+    c[:na] = K @ beta
+    for i in hinge_bags:
+        c[slack["hinge", i]] = cfg.gamma * prob.tau[i, t] / (m * T)
+    for i in delta_bags:
+        c[slack["delta", i]] = cfg.gamma * cfg.lam / (m * T)
+    rows, rhs, atoms = [], [], []
+    for kind, i, r in kinds:
+        row, atom = np.zeros(nv), np.zeros(na)
+        if kind == "hinge":
+            y = prob.Y[i, t]
+            atom[i] = -y
+            row[na], row[slack["hinge", i]] = -y, -1.0
+            rhs.append(-1.0)
+        else:
+            assert kind in ("inst", "linmax")
+            if kind == "inst":
+                atom[m + r], atom[i] = 1.0, -1.0
+            else:
+                atom[i] = 1.0
+                atom[m + off[i]:m + off[i + 1]] -= rho[off[i]:off[i + 1], t]
+            row[slack["delta", i]] = -1.0
+            rhs.append(0.0)
+        row[:na] = atom @ K
+        rows.append(row)
+        atoms.append(atom)
+    G, h = np.array(rows).reshape(-1, nv), np.array(rhs)
+    lb = np.full(nv, -np.inf)
+    lb[na + 1:] = 0.0
+    x0 = np.zeros(nv)
+    x0[[slack["hinge", i] for i in hinge_bags]] = 1.0
+    oracle = solve_qp(QpProblem(Q=Q, c=c, G=G, h=h, lb=lb), x0=x0).objective
+
+    x = np.concatenate([alpha, [b], xi[hinge_bags], delta[delta_bags]])
+    primal = float(0.5 * x @ Q @ x + c @ x)
+    scale = max(1.0, abs(oracle))
+    assert np.all(xi >= 0.0) and np.all(delta >= 0.0)
+    assert float(np.max(G @ x - h, initial=0.0)) <= 1e-9
+    assert abs(primal - oracle) <= 1e-8 * scale
+
+    # dual feasibility of the multipliers, and the duality gap
+    hinge = np.array([kind == "hinge" for kind, _, _ in kinds], dtype=bool)
+    bags = np.array([i for _, i, _ in kinds], dtype=int)
+    ub = cfg.gamma * prob.tau[bags[hinge], t] / (m * T)
+    cap = cfg.gamma * cfg.lam / (m * T)
+    sums = np.bincount(bags[~hinge], nu[~hinge], minlength=m)
+    assert np.all(nu >= 0.0) and np.all(nu[hinge] <= ub)
+    assert np.all(sums <= cap * (1.0 + 1e-12))
+    assert abs(float(prob.Y[bags[hinge], t] @ nu[hinge])) <= 1e-12 * (1.0 + nu.sum())
+    v = beta + np.array(atoms).reshape(-1, na).T @ nu
+    dual = float(-0.5 * v @ K @ v / kappa + nu[hinge].sum())
+    assert abs(primal - dual) <= 1e-8 * scale
+    return (bool(np.any(nu[hinge] == ub)), bool(np.any((nu[hinge] > 0) & (nu[hinge] < ub))),
+            bool(np.any(sums >= cap * (1.0 - 1e-12))))
+
+
+@pytest.mark.parametrize("spec,cfg", [
+    # the `solvers` benchmark workload's D-MimlSvm files (default config)
+    (bench.SynthSpec(T=3, d=4, m=8, n_min=1, n_max=4, seed=101), DMimlConfig()),
+    # criterion 6's paired protocol: 24 training bags, 4 CCCP iterations
+    (bench.SynthSpec(T=3, d=5, m=24, n_min=1, n_max=3, label_prob=0.4, spread=0.5, seed=21),
+     DMimlConfig(cccp_max_iters=4)),
+], ids=["solvers", "criterion6"])
+def test_dmimlsvm_dual_solves_match_primal_oracle(spec, cfg):
+    ds, _ = bench.generate(spec)
+    records = _recorded_dual_solves(ds, cfg)
+    # every solve warm-starts from the last multipliers; the working rows grow
+    assert len(records) > 50 and max(len(rec[2]) for rec in records) > 10
+    binding = [_check_dual_solve(*rec) for rec in records]
+    assert all(any(kinds) for kinds in zip(*binding))
