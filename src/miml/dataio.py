@@ -149,7 +149,7 @@ def serialize_model(env: ModelEnvelope) -> str:
     if env.version != MODEL_VERSION:
         raise ValueError(f"unsupported envelope version {env.version!r}")
     body = json.dumps({"hyper": env.hyper, "payload": env.payload},
-                      sort_keys=True, indent=1, allow_nan=False)
+                      sort_keys=True, allow_nan=False)
     return f"{MODEL_VERSION} {env.algorithm}\n{body}\n"
 
 

@@ -15,7 +15,7 @@ tests/test_solvers.py keeps as the reference.
 """
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -148,14 +148,17 @@ def smo_solve(K: np.ndarray, y: np.ndarray, box: np.ndarray,
     return np.array(alpha), float(bias), iterations
 
 
-def train_weighted_svm(problem: WeightedBinaryProblem, spec: KernelSpec,
-                       tol: float = 1e-6, max_iter: Optional[int] = None,
-                       gram: Optional[np.ndarray] = None) -> SvmDecision:
-    """Train the weighted SVM; degenerate single-class input yields a
-    constant decision at that class's sign.
+def weighted_svm_support(problem: WeightedBinaryProblem, spec: KernelSpec,
+                         tol: float = 1e-6, max_iter: Optional[int] = None,
+                         gram: Optional[np.ndarray] = None
+                         ) -> Tuple[np.ndarray, np.ndarray, float]:
+    """Train the weighted SVM and return its support as (indices of the
+    support rows of problem.X, alpha * y at those rows, bias).
+    Degenerate single-class input has no support and the bias of that
+    class's sign.
 
-    gram, if given, must be instance_gram(spec, problem.X); a caller that
-    trains many problems on one X builds it once."""
+    gram, if given, must be the symmetric kernel matrix of problem.X under
+    spec; a caller that trains many problems on one X builds it once."""
     X = np.asarray(problem.X, dtype=np.float64)
     y = np.asarray(problem.y, dtype=np.float64)
     w = np.asarray(problem.weights, dtype=np.float64)
@@ -168,21 +171,31 @@ def train_weighted_svm(problem: WeightedBinaryProblem, spec: KernelSpec,
     if problem.C <= 0:
         raise ValueError("C must be > 0")
 
-    spec = KernelSpec(spec.kind, spec.resolve_gamma(X.shape[1]))
     live = w > 0
     signs = np.unique(y[live]) if live.any() else np.array([])
     if signs.size < 2:
         const = float(signs[0]) if signs.size == 1 else 1.0
-        return SvmDecision(kernel=spec, vectors=np.zeros((0, X.shape[1])),
-                           coef=np.zeros(0), bias=const)
+        return np.zeros(0, dtype=np.intp), np.zeros(0), const
 
     if gram is None:
-        K = instance_gram(spec, X)
+        K = instance_gram(KernelSpec(spec.kind, spec.resolve_gamma(X.shape[1])), X)
     elif np.shape(gram) != (X.shape[0], X.shape[0]):
         raise ValueError("gram must be (N, N)")
     else:
         K = gram
     alpha, bias, _ = smo_solve(K, y, problem.C * w, tol=tol, max_iter=max_iter)
-    keep = alpha > 1e-12
-    return SvmDecision(kernel=spec, vectors=X[keep].copy(),
-                       coef=(alpha * y)[keep], bias=bias)
+    support = np.flatnonzero(alpha > 1e-12)
+    return support, (alpha * y)[support], bias
+
+
+def train_weighted_svm(problem: WeightedBinaryProblem, spec: KernelSpec,
+                       tol: float = 1e-6, max_iter: Optional[int] = None,
+                       gram: Optional[np.ndarray] = None) -> SvmDecision:
+    """The weighted SVM's decision function; degenerate single-class input
+    yields a constant decision at that class's sign.
+
+    gram, if given, must be instance_gram(spec, problem.X)."""
+    support, coef, bias = weighted_svm_support(problem, spec, tol, max_iter, gram)
+    X = np.asarray(problem.X, dtype=np.float64)
+    return SvmDecision(kernel=KernelSpec(spec.kind, spec.resolve_gamma(X.shape[1])),
+                       vectors=X[support], coef=coef, bias=bias)

@@ -228,19 +228,21 @@ def test_eval_stdout_matches_golden(algo, tmp_path):
 # subcod fit (m=28, M=9 sub-concepts) runs EM and the polishing SVM and flips at
 # about the size of the SubCod benchmark fits; dmimlsvm runs its dual active-set
 # solver (re-recorded when the restricted problems moved from the primal QP to
-# the dual).
+# the dual).  All four were re-recorded when model bodies lost their indent
+# (mimlsvm, subcod and dmimlsvm bodies parse to the same objects as before)
+# and MimlBoost's rounds moved to one support pool.
 _MODEL_DATA = "T=3\nd=4\nm=40\nn_min=2\nn_max=5\nspread=1.0\nseed=7\n"
 _GOLDEN_MODEL_SHA = {
     "mimlboost": (_MODEL_DATA, "boost.rounds=8\nboost.seed=1\n",
-                  "6024a18f9b9eb972a6c12c89fb4145fc64b3ac6a1390a2353be82dd1997ac4d1"),
+                  "76d5c31fed5dc77cd9a77e312a686a15c508c3b14a0f195e14ff499783a666ca"),
     "mimlsvm": (_MODEL_DATA, "mimlsvm.seed=1\n",
-                "4315f2ed5bb1519d50e3431092dd460b28fc040fb272c1ef637bd7e49c18baba"),
+                "6c773fe7eadfe0c208ff0102d2abe9f1e3bd017ad488c1242518cdb6b9200e2f"),
     "subcod": ("T=2\nd=4\nn_min=2\nn_max=6\nspread=2.0\nm=28\nseed=7\n",
                "subcod.seed=1\n",
-               "daec8c73bc4dc3dc23f0925d2c236310bb3b5b3d9aec8db40cfa8ccd572b3cd8"),
+               "a51ade7faff4ad084421ef6bc115405cc1c03fff0dd5466c1c03943ca271d3dd"),
     "dmimlsvm": ("T=3\nd=4\nn_min=1\nn_max=4\nspread=1.5\nm=12\nseed=7\n",
                  "dmiml.cccp_iters=3\ndmiml.seed=1\n",
-                 "a686bd547c458ca8ca219d0acdaa0ec014f8f84960182df4b3b60027c4528358"),
+                 "cd636fab11a2b00b936d2882965e8e0fa1202be9e0111e96b2ab9d83159cf3c2"),
 }
 
 
@@ -267,13 +269,7 @@ def _train_with_blas_threads(tmp_path, algo, data, config_text, threads):
     return model.read_bytes()
 
 
-@pytest.mark.parametrize("algo", [
-    pytest.param(algo, marks=pytest.mark.xfail(
-        reason="ROADMAP direction 1: MimlBoost's instance Gram is a BLAS product "
-               "whose last bits depend on the thread count")) if algo == "mimlboost"
-    else algo
-    for algo in sorted(_GOLDEN_MODEL_SHA)
-])
+@pytest.mark.parametrize("algo", sorted(_GOLDEN_MODEL_SHA))
 def test_model_bytes_do_not_depend_on_blas_threads(algo, tmp_path):
     spec, config, _ = _GOLDEN_MODEL_SHA[algo]
     data = _synth(tmp_path, "train", spec)
@@ -528,6 +524,34 @@ def test_model_payload_missing_field_is_data_error(tmp_path, capsys):
     code, _ = _eval_model_text(tmp_path, "miml-model/1 mimlsvm\n" + body + "\n")
     assert code == 2
     assert "'svms'" in capsys.readouterr().err
+
+
+def _old_svm_layout(p):
+    del p["pool"], p["gamma"]
+    p["rounds"] = [{"c": 1.0, "weak": {
+        "kind": "svm", "kernel": {"kind": "rbf", "gamma": None},
+        "vectors": [[0.0] * (p["d"] + p["T"])], "coef": [1.0], "bias": 0.0}}]
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda p: p["rounds"][0]["sv"].__setitem__(0, -1), "sv index out of range"),
+    (lambda p: p["rounds"][0]["sv"].__setitem__(0, len(p["pool"])), "sv index out of range"),
+    (lambda p: p["rounds"][0]["label"].__setitem__(0, p["T"]), "label index out of range"),
+    (lambda p: p["rounds"][0]["coef"].pop(), "round 0: sv, label and coef differ in length"),
+    (lambda p: p["pool"][0].pop(), "pool rows must have d=4 features"),
+    (_old_svm_layout, "'weak.vectors' layout"),
+])
+def test_malformed_mimlboost_payload_is_data_error(edit, message, tmp_path, capsys):
+    train = _synth(tmp_path, "train", "T=3\nd=4\nm=10\nseed=1\n")
+    model = _train(tmp_path, "mimlboost", train, "boost.rounds=3\n")
+    head, _, body = model.read_text().partition("\n")
+    data = json.loads(body)
+    assert data["payload"]["rounds"] and data["payload"]["rounds"][0]["sv"]
+    edit(data["payload"])
+    code, text = _eval_model_text(tmp_path, head + "\n" + json.dumps(data) + "\n")
+    assert code == 2 and text == ""
+    err = capsys.readouterr().err
+    assert "bad mimlboost model payload" in err and message in err
 
 
 # every documented key at a non-default value, and the config the per-learner

@@ -1,18 +1,49 @@
 import numpy as np
 import pytest
 
+from miml import bench, cli
+from miml.bagdist import stack_bags
 from miml.core import Bag, MimlDataset, psi
+from miml.kernels import KernelSpec
 from miml.mimlboost import (
     BoostConfig,
     BoostModel,
     Stump,
+    _augment,
     fit,
     predict_many,
+    svm_decisions,
     train_stump,
     transform_to_mil,
 )
+from miml.solvers import SvmDecision
 
 from conftest import random_dataset
+
+
+def reference_round_decisions(model: BoostModel, X: np.ndarray) -> np.ndarray:
+    """Per-(round, label) decision values of the layout the support pool
+    replaced: each round is one SvmDecision over its support vectors with
+    their one-hot label blocks appended, called on X augmented with each
+    label's block.  Column r*T + v is round r at label v."""
+    T = model.T
+    cols = []
+    for weak, _ in model.rounds:
+        vectors = np.hstack([weak.pool.X[weak.sv], np.eye(T)[weak.label]])
+        dec = SvmDecision(KernelSpec("rbf", weak.pool.gamma), vectors, weak.coef, weak.bias)
+        cols.extend(dec.decision(_augment(X, v, T)) for v in range(T))
+    return np.stack(cols, axis=1)
+
+
+def reference_scores(model: BoostModel, signs: np.ndarray, offsets) -> np.ndarray:
+    """The per-round scorer's accumulation: for each label, round by round,
+    c times the bag's sign count."""
+    T = model.T
+    scores = np.zeros((len(offsets) - 1, T))
+    for v in range(T):
+        for r, (_, c) in enumerate(model.rounds):
+            scores[:, v] += c * np.add.reduceat(signs[:, r * T + v], offsets[:-1])
+    return scores
 
 
 def test_transform_counts_and_labels(rng):
@@ -144,3 +175,72 @@ def test_predict_matches_double_sum_oracle(rng):
                 row = _augment(bag.feats[j][None, :], v, 3)
                 acc += c * float(weak.predict_sign(row)[0])
         assert ls.scores[v] == pytest.approx(acc, abs=1e-10)
+
+
+def _svm_model(seed=3, rounds=25):
+    ds, _ = bench.generate(bench.SynthSpec(T=3, d=4, n_min=1, n_max=4, m=12, spread=1.5,
+                                           seed=seed))
+    return ds, fit(ds, BoostConfig(rounds=rounds, seed=1))
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+def test_pool_matches_per_round_reference(seed, rng):
+    """One kernel against the pool gives every round's and label's decision
+    of the per-round layout, on more than one eval block of bags."""
+    ds, model = _svm_model(seed)
+    assert len(model.rounds) > 1
+    bags = [Bag(f"q{i}", 2.0 * rng.normal(size=(int(rng.integers(1, 5)), ds.d)))
+            for i in range(cli.EVAL_BLOCK + 45)]
+    X, offsets = stack_bags(bags)
+    got = svm_decisions(model, X)
+    ref = reference_round_decisions(model, X)
+    # relative to the decision's scale, the sum of its terms' magnitudes
+    scale = np.repeat([np.abs(w.coef).sum() + abs(w.bias) for w, _ in model.rounds], ds.T)
+    assert np.all(np.abs(got - ref) <= 1e-12 * scale)
+
+    ref_signs = np.where(ref >= 0, 1.0, -1.0)
+    tie = np.abs(ref) < 1e-9
+    assert np.all((np.where(got >= 0, 1.0, -1.0) == ref_signs) | tie)
+    clear = np.add.reduceat(tie.any(axis=1), offsets[:-1]) == 0
+    assert clear.mean() > 0.9
+    want = reference_scores(model, ref_signs, offsets)
+    preds = cli.predict_blocks("mimlboost", model, bags)
+    for ls, w, ok in zip(preds, want, clear):
+        if ok:
+            assert np.array_equal(ls.scores, w)
+            assert ls.predicted == frozenset(np.flatnonzero(w > 0).tolist())
+
+
+def test_svm_round_errors_match_pool_scorer():
+    """The fit's per-round bag errors, read from its Gram, are what the
+    pool scorer gives on the training instances."""
+    ds, model = _svm_model()
+    X, offsets = stack_bags(ds.bags())
+    dec = svm_decisions(model, X)
+    for r, trace in enumerate(model.history["rounds"][:len(model.rounds)]):
+        for b, e in zip(transform_to_mil(ds), trace["e"]):
+            rows = dec[offsets[b.example]:offsets[b.example + 1], r * ds.T + b.label]
+            assert np.all(np.abs(rows) > 1e-9)
+            assert e == np.mean(np.where(rows >= 0, 1.0, -1.0) != b.sign)
+
+
+def test_svm_prefix_of_rounds_is_a_model():
+    ds, model = _svm_model()
+    part = BoostModel(rounds=model.rounds[:2], T=ds.T, d=ds.d, config=model.config)
+    X, _ = stack_bags(ds.bags())
+    assert np.allclose(svm_decisions(part, X), svm_decisions(model, X)[:, :2 * ds.T],
+                       rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("rounds", [25, 0])
+def test_svm_payload_round_trip(rounds):
+    ds, model = _svm_model(rounds=rounds)
+    back = BoostModel.from_payload(model.to_payload())
+    assert back.to_payload() == model.to_payload()
+    if rounds:
+        pool = model.rounds[0][0].pool
+        assert pool.X.shape[0] == np.unique(pool.X, axis=0).shape[0]
+        assert pool.X.shape[0] < sum(w.sv.size for w, _ in model.rounds)
+    bags = ds.bags()
+    for a, b in zip(predict_many(model, bags), predict_many(back, bags)):
+        assert np.array_equal(a.scores, b.scores)
