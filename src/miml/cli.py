@@ -118,7 +118,9 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The one parser of every ``run`` call, built at the first."""
     parser = _Parser(prog="miml", description="MIML learning toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -26,12 +26,11 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from . import kernels
 from .bagdist import stack_bags
 from .core import Bag, MimlDataset, psi, require_valid
 from .kernels import KernelSpec
 from .metrics import LabelScores
-from .solvers import WeightedBinaryProblem, minimize_1d_convex, weighted_svm_support
+from .solvers import SvmDecision, minimize_1d_convex, weighted_svm_support
 
 
 @dataclass(frozen=True)
@@ -151,11 +150,11 @@ class BoostModel:
     history: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        # SVM rounds folded for scoring: column r*T + v of ``_coef`` weighs
-        # the pool rows for round r at label v, ``_bias`` is its bias
-        self._coef = self._bias = None
+        # SVM rounds folded for scoring: output r*T + v of ``_svm`` is round
+        # r at label v
+        self._svm = None
         if self.rounds and isinstance(self.rounds[0][0], PoolSvm):
-            self._coef, self._bias = _fold(self.rounds, self.T)
+            self._svm = _fold(self.rounds, self.T)
 
     def to_payload(self) -> dict:
         p = {"T": self.T, "d": self.d, "base": self.config.base}
@@ -187,11 +186,11 @@ class BoostModel:
         raise ValueError(f"unknown base learner {base!r}")
 
 
-def _fold(rounds, T: int):
-    """(n_pool, rounds*T) coefficients and the (rounds*T,) biases of the
-    rounds' decisions on raw instances: pool row p weighs coef_i of every
-    support vector i at p, times exp(-2 gamma) where its label block is not
-    the scored label."""
+def _fold(rounds, T: int) -> SvmDecision:
+    """The rounds' decisions on raw instances as one decision over the pool
+    with rounds*T outputs: pool row p weighs coef_i of every support vector
+    i at p, times exp(-2 gamma) where its label block is not the scored
+    label."""
     pool = rounds[0][0].pool
     sv = np.concatenate([w.sv for w, _ in rounds])
     label = np.concatenate([w.label for w, _ in rounds])
@@ -201,7 +200,8 @@ def _fold(rounds, T: int):
     first = np.repeat(np.arange(len(rounds)) * T, [w.sv.size for w, _ in rounds])
     coef = np.zeros((pool.X.shape[0], len(rounds) * T))
     np.add.at(coef, (sv[:, None], first[:, None] + np.arange(T)), weight)
-    return coef, np.repeat([w.bias for w, _ in rounds], T)
+    return SvmDecision(KernelSpec("rbf", pool.gamma), pool.X, coef,
+                       np.repeat([w.bias for w, _ in rounds], T))
 
 
 def _augment(feats: np.ndarray, label: int, T: int) -> np.ndarray:
@@ -277,10 +277,9 @@ def _train_svm(cfg: BoostConfig, X, y, w, gram):
     # relative weights are what matter; rescale to mean 1 so the box
     # scale stays with C
     w_scaled = w * (w.size / max(w.sum(), 1e-300))
-    prob = WeightedBinaryProblem(X=X, y=y, weights=w_scaled, C=cfg.C)
     # a weak learner only needs the right side of 0.5, not a tight dual
-    support, coef, bias = weighted_svm_support(prob, KernelSpec("rbf", cfg.gamma), tol=1e-3,
-                                               max_iter=40 * X.shape[0], gram=gram)
+    support, coef, bias = weighted_svm_support(X, y, w_scaled, cfg.C, KernelSpec("rbf", cfg.gamma),
+                                               tol=1e-3, max_iter=40 * X.shape[0], gram=gram)
     decision = np.sum(coef[:, None] * gram[support], axis=0) + bias
     return (support, coef, bias), np.where(decision >= 0, 1.0, -1.0)
 
@@ -354,16 +353,13 @@ def fit(ds: MimlDataset, cfg: BoostConfig = BoostConfig()) -> BoostModel:
 def svm_decisions(model: BoostModel, X: np.ndarray) -> np.ndarray:
     """(n, rounds*T) decision values of an SVM model's rounds on the raw
     instances X; column r*T + v is round r at label v.  One instance kernel
-    against the pool (called through the module, where the benchmark's
-    trace counts it) and one product with the folded coefficients."""
-    pool = model.rounds[0][0].pool
-    K = kernels.instance_gram(KernelSpec("rbf", pool.gamma), X, pool.X)
-    return K @ model._coef + model._bias
+    against the pool and one product with the folded coefficients."""
+    return model._svm.decision(X)
 
 
 def _round_signs(model: BoostModel, X: np.ndarray) -> np.ndarray:
     """(n, rounds*T) weak-learner signs on X, columns as in svm_decisions."""
-    if model._coef is not None:
+    if model._svm is not None:
         return np.where(svm_decisions(model, X) >= 0, 1.0, -1.0)
     Xa = [_augment(X, v, model.T) for v in range(model.T)]
     signs = [weak.predict_sign(Xa[v]) for weak, _ in model.rounds for v in range(model.T)]

@@ -3,9 +3,10 @@ SVM per label, with T-Criterion prediction.
 
 Each bag is represented by its Hausdorff distances to the k cluster medoids;
 per-label binary SVMs are trained on those vectors with +1/-1 membership
-targets.  Prediction returns every positively scored label and falls back
-to the top-scoring label when none is positive, so the predicted set is
-never empty.
+targets and kept as one multi-output decision over their support vectors.
+Prediction returns every positively scored label and falls back to the
+top-scoring label when none is positive, so the predicted set is never
+empty.
 """
 
 import math
@@ -19,7 +20,7 @@ from .bagdist import k_medoids_from_dists, pairwise_hausdorff
 from .core import Bag, MimlDataset, psi, require_valid
 from .kernels import KernelSpec
 from .metrics import LabelScores
-from .solvers import SvmDecision, WeightedBinaryProblem, train_weighted_svm
+from .solvers import SvmDecision, train_ovr_svm
 
 _C_GRID = (0.1, 1.0, 10.0)
 
@@ -36,7 +37,7 @@ class MimlSvmConfig:
 @dataclass(eq=False)
 class MimlSvmModel:
     medoids: Tuple[Bag, ...]
-    svms: Tuple[SvmDecision, ...]   # one per label
+    svm: SvmDecision    # one output per label, on medoid-distance vectors
     T: int
     k: int
     history: dict = field(default_factory=dict, repr=False)
@@ -44,19 +45,21 @@ class MimlSvmModel:
     def to_payload(self) -> dict:
         return {
             "medoids": [b.to_payload() for b in self.medoids],
-            "svms": [s.to_payload() for s in self.svms],
+            "svm": self.svm.to_payload(),
             "T": self.T,
             "k": self.k,
         }
 
     @staticmethod
     def from_payload(p: dict) -> "MimlSvmModel":
-        return MimlSvmModel(
-            medoids=tuple(Bag.from_payload(b) for b in p["medoids"]),
-            svms=tuple(SvmDecision.from_payload(s) for s in p["svms"]),
-            T=int(p["T"]),
-            k=int(p["k"]),
-        )
+        if "svms" in p:
+            raise ValueError("the per-label 'svms' layout is no longer read; retrain the model")
+        T, k = int(p["T"]), int(p["k"])
+        svm = SvmDecision.from_payload(p["svm"], k, T)
+        medoids = tuple(Bag.from_payload(b) for b in p["medoids"])
+        if len(medoids) != k:
+            raise ValueError(f"{len(medoids)} medoids for k={k}")
+        return MimlSvmModel(medoids=medoids, svm=svm, T=T, k=k)
 
 
 def resolve_k(cfg: MimlSvmConfig, m: int) -> int:
@@ -67,16 +70,12 @@ def resolve_k(cfg: MimlSvmConfig, m: int) -> int:
 
 
 def _train_label_svms(Z: np.ndarray, label_sets, T: int, Cs: Sequence[float],
-                      gamma: Optional[float]) -> List[Tuple[SvmDecision, ...]]:
-    """One SVM per label on Z for each C in Cs, all on one Gram of Z."""
-    m, k = Z.shape
-    spec = KernelSpec("rbf", gamma if gamma is not None else 1.0 / k)
+                      gamma: Optional[float]) -> List[SvmDecision]:
+    """The per-label SVMs on Z for each C in Cs, all on one Gram of Z."""
+    spec = KernelSpec("rbf", gamma if gamma is not None else 1.0 / Z.shape[1])
     gram = kernels.instance_gram(spec, Z)
-    targets = [np.array([float(psi(labels, t, T)) for labels in label_sets])
-               for t in range(T)]
-    return [tuple(train_weighted_svm(WeightedBinaryProblem(Z, y, np.ones(m), C), spec, gram=gram)
-                  for y in targets)
-            for C in Cs]
+    Y = np.array([[float(psi(labels, t, T)) for t in range(T)] for labels in label_sets])
+    return [train_ovr_svm(Z, Y, C, spec, gram=gram) for C in Cs]
 
 
 def tcriterion(scores: np.ndarray) -> frozenset:
@@ -85,11 +84,6 @@ def tcriterion(scores: np.ndarray) -> frozenset:
     if pos:
         return pos
     return frozenset({int(np.argmax(scores))})
-
-
-def _decision_matrix(svms, Z: np.ndarray) -> np.ndarray:
-    """(q, T) per-label SVM scores of the q distance vectors in Z."""
-    return np.column_stack([s.decision(Z) for s in svms])
 
 
 def fit(ds: MimlDataset, cfg: MimlSvmConfig = MimlSvmConfig()) -> MimlSvmModel:
@@ -113,13 +107,12 @@ def fit(ds: MimlDataset, cfg: MimlSvmConfig = MimlSvmConfig()) -> MimlSvmModel:
     history = {}
     if chosen_C is None:
         chosen_C, history = _holdout_C(ds, cfg, D)
-    (svms,) = _train_label_svms(Z, label_sets, ds.T, (chosen_C,), cfg.gamma)
-    model = MimlSvmModel(
+    (svm,) = _train_label_svms(Z, label_sets, ds.T, (chosen_C,), cfg.gamma)
+    return MimlSvmModel(
         medoids=tuple(bags[i] for i in medoid_idx),
-        svms=svms, T=ds.T, k=k,
+        svm=svm, T=ds.T, k=k,
         history={"C": chosen_C, **history},
     )
-    return model
 
 
 def _holdout_C(ds: MimlDataset, cfg: MimlSvmConfig, D: np.ndarray):
@@ -145,9 +138,9 @@ def _holdout_C(ds: MimlDataset, cfg: MimlSvmConfig, D: np.ndarray):
 
     scores = {}
     label_svms = _train_label_svms(Z_sub, sub_ds.label_sets(), ds.T, _C_GRID, cfg.gamma)
-    for C, svms in zip(_C_GRID, label_svms):
+    for C, svm in zip(_C_GRID, label_svms):
         total = sum(len(tcriterion(s).symmetric_difference(y))
-                    for s, y in zip(_decision_matrix(svms, Z_hold), hold_labels))
+                    for s, y in zip(svm.decision(Z_hold), hold_labels))
         scores[C] = total / (len(hold) * ds.T)
     best = min(_C_GRID, key=lambda C: (scores[C], C))
     return best, {"holdout_hamming": scores}
@@ -157,4 +150,4 @@ def predict_many(model: MimlSvmModel, bags: Sequence[Bag]) -> List[LabelScores]:
     """T-Criterion prediction from per-label SVM scores on the distance
     vectors; no returned set is empty."""
     Z = pairwise_hausdorff(bags, model.medoids)
-    return [LabelScores(s, tcriterion(s)) for s in _decision_matrix(model.svms, Z)]
+    return [LabelScores(s, tcriterion(s)) for s in model.svm.decision(Z)]

@@ -12,6 +12,10 @@ For a symmetric K (instance_gram symmetrizes exactly) this picks the same
 pair and produces bit-identical iterates, bias and iteration count as
 rebuilding the sets and the gradient from scratch each iteration, which
 tests/test_solvers.py keeps as the reference.
+
+A model's SVMs are one ``SvmDecision``: the rows that support any output
+stored once, with one coefficient column per output, the layout LIBSVM
+uses for multi-class models (Chang & Lin, ACM TIST 2011).
 """
 
 from dataclasses import dataclass
@@ -24,49 +28,46 @@ from ..kernels import KernelSpec, instance_gram
 
 @dataclass(eq=False)
 class SvmDecision:
-    """Kernel expansion decision function: sum_i coef_i k(v_i, x) + bias."""
+    """Multi-output kernel expansion over one pool of vectors: output j at x
+    is sum_i coef[i, j] k(vectors[i], x) + bias[j].  A pool row that does
+    not support output j has coef 0 there; an empty pool scores the bias."""
 
     kernel: KernelSpec
-    vectors: np.ndarray   # (nsv, d)
-    coef: np.ndarray      # (nsv,) = alpha_i * y_i
-    bias: float
+    vectors: np.ndarray   # (n_pool, d)
+    coef: np.ndarray      # (n_pool, outputs) = alpha * y per output
+    bias: np.ndarray      # (outputs,)
 
     def decision(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim == 1:
-            X = X[None, :]
-        if self.vectors.shape[0] == 0:
-            return np.full(X.shape[0], self.bias)
-        return self.coef @ instance_gram(self.kernel, self.vectors, X) + self.bias
+        """(n, outputs) scores of the rows of X: one kernel block against the
+        pool and one product."""
+        return instance_gram(self.kernel, X, self.vectors) @ self.coef + self.bias
 
     def to_payload(self) -> dict:
         return {
             "kernel": self.kernel.to_payload(),
             "vectors": self.vectors.tolist(),
             "coef": self.coef.tolist(),
-            "bias": self.bias,
+            "bias": self.bias.tolist(),
         }
 
     @staticmethod
-    def from_payload(p: dict) -> "SvmDecision":
-        nsv = len(p["coef"])
-        vecs = np.asarray(p["vectors"], dtype=np.float64)
-        if nsv == 0:
-            vecs = vecs.reshape(0, 0) if vecs.size == 0 else vecs
-        return SvmDecision(
-            kernel=KernelSpec.from_payload(p["kernel"]),
-            vectors=vecs.reshape(nsv, -1) if nsv else np.zeros((0, 0)),
-            coef=np.asarray(p["coef"], dtype=np.float64),
-            bias=float(p["bias"]),
-        )
+    def from_payload(p: dict, width: int, outputs: int) -> "SvmDecision":
+        """The decision a model file holds, for rows of ``width`` features
+        and ``outputs`` outputs; a shape that disagrees is a ValueError."""
+        vectors = _matrix(p["vectors"], width, "vectors")
+        coef = _matrix(p["coef"], outputs, "coef")
+        bias = np.array(p["bias"], dtype=np.float64)
+        if coef.shape[0] != vectors.shape[0]:
+            raise ValueError(f"coef has {coef.shape[0]} rows for {vectors.shape[0]} vectors")
+        if bias.shape != (outputs,):
+            raise ValueError(f"bias must hold {outputs} values")
+        return SvmDecision(KernelSpec.from_payload(p["kernel"]), vectors, coef, bias)
 
 
-@dataclass
-class WeightedBinaryProblem:
-    X: np.ndarray          # (N, d)
-    y: np.ndarray          # entries in {-1, +1}
-    weights: np.ndarray    # per-example non-negative weights
-    C: float
+def _matrix(rows, width: int, name: str) -> np.ndarray:
+    if any(len(row) != width for row in rows):
+        raise ValueError(f"{name} rows must have {width} columns")
+    return np.array(rows, dtype=np.float64).reshape(len(rows), width)
 
 
 def smo_solve(K: np.ndarray, y: np.ndarray, box: np.ndarray,
@@ -148,27 +149,28 @@ def smo_solve(K: np.ndarray, y: np.ndarray, box: np.ndarray,
     return np.array(alpha), float(bias), iterations
 
 
-def weighted_svm_support(problem: WeightedBinaryProblem, spec: KernelSpec,
-                         tol: float = 1e-6, max_iter: Optional[int] = None,
+def weighted_svm_support(X: np.ndarray, y: np.ndarray, weights: np.ndarray, C: float,
+                         spec: KernelSpec, tol: float = 1e-6,
+                         max_iter: Optional[int] = None,
                          gram: Optional[np.ndarray] = None
                          ) -> Tuple[np.ndarray, np.ndarray, float]:
-    """Train the weighted SVM and return its support as (indices of the
-    support rows of problem.X, alpha * y at those rows, bias).
-    Degenerate single-class input has no support and the bias of that
-    class's sign.
+    """Train the SVM on the rows of X with +-1 labels y, dual box C * weights,
+    and return its support as (indices of the support rows of X, alpha * y
+    at those rows, bias).  Degenerate single-class input has no support and
+    the bias of that class's sign.
 
-    gram, if given, must be the symmetric kernel matrix of problem.X under
-    spec; a caller that trains many problems on one X builds it once."""
-    X = np.asarray(problem.X, dtype=np.float64)
-    y = np.asarray(problem.y, dtype=np.float64)
-    w = np.asarray(problem.weights, dtype=np.float64)
+    gram, if given, must be the symmetric kernel matrix of X under spec; a
+    caller that trains many problems on one X builds it once."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    w = np.asarray(weights, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 1:
         raise ValueError("X must be (N, d) with N >= 1")
     if not np.all(np.isin(y, (-1.0, 1.0))):
         raise ValueError("labels must be in {-1, +1}")
     if np.any(w < 0) or not np.isfinite(w).all():
         raise ValueError("weights must be finite and >= 0")
-    if problem.C <= 0:
+    if C <= 0:
         raise ValueError("C must be > 0")
 
     live = w > 0
@@ -183,19 +185,28 @@ def weighted_svm_support(problem: WeightedBinaryProblem, spec: KernelSpec,
         raise ValueError("gram must be (N, N)")
     else:
         K = gram
-    alpha, bias, _ = smo_solve(K, y, problem.C * w, tol=tol, max_iter=max_iter)
+    alpha, bias, _ = smo_solve(K, y, C * w, tol=tol, max_iter=max_iter)
     support = np.flatnonzero(alpha > 1e-12)
     return support, (alpha * y)[support], bias
 
 
-def train_weighted_svm(problem: WeightedBinaryProblem, spec: KernelSpec,
-                       tol: float = 1e-6, max_iter: Optional[int] = None,
-                       gram: Optional[np.ndarray] = None) -> SvmDecision:
-    """The weighted SVM's decision function; degenerate single-class input
-    yields a constant decision at that class's sign.
+def train_ovr_svm(X: np.ndarray, Y: np.ndarray, C: float, spec: KernelSpec,
+                  gram: Optional[np.ndarray] = None) -> SvmDecision:
+    """One unit-weight SVM per column of the (N, outputs) +-1 target matrix
+    Y, all on one Gram of the rows of X, as one decision whose pool is the
+    rows that support any column.  Column j holds exactly the coefficients
+    and bias weighted_svm_support gives for Y[:, j].
 
-    gram, if given, must be instance_gram(spec, problem.X)."""
-    support, coef, bias = weighted_svm_support(problem, spec, tol, max_iter, gram)
-    X = np.asarray(problem.X, dtype=np.float64)
-    return SvmDecision(kernel=KernelSpec(spec.kind, spec.resolve_gamma(X.shape[1])),
-                       vectors=X[support], coef=coef, bias=bias)
+    gram, if given, must be instance_gram(spec, X)."""
+    X = np.asarray(X, dtype=np.float64)
+    spec = KernelSpec(spec.kind, spec.resolve_gamma(X.shape[1]))
+    if gram is None:
+        gram = instance_gram(spec, X)
+    ones = np.ones(X.shape[0])
+    fits = [weighted_svm_support(X, y, ones, C, spec, gram=gram)
+            for y in np.asarray(Y, dtype=np.float64).T]
+    pool = np.unique(np.concatenate([s for s, _, _ in fits]))
+    coef = np.zeros((pool.size, len(fits)))
+    for j, (support, a, _) in enumerate(fits):
+        coef[np.searchsorted(pool, support), j] = a
+    return SvmDecision(spec, X[pool], coef, np.array([b for _, _, b in fits]))

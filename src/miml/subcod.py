@@ -25,14 +25,13 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import kernels
 from .core import Bag, MimlDataset, require_valid
 from .kernels import KernelSpec
 from .metrics import LabelScores
 from .mimlsvm import MimlSvmConfig, MimlSvmModel
 from .mimlsvm import fit as mimlsvm_fit
 from .mimlsvm import predict_many as mimlsvm_predict_many
-from .solvers import SvmDecision, WeightedBinaryProblem, train_weighted_svm
+from .solvers import SvmDecision, train_ovr_svm, weighted_svm_support
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -92,16 +91,6 @@ class GmmModel:
     def responsibilities(self, X: np.ndarray) -> np.ndarray:
         """(N, M) row-stochastic posterior component weights."""
         return self.posterior(X)[1]
-
-    def to_payload(self) -> dict:
-        return {"means": self.means.tolist(), "covs": self.covs.tolist(),
-                "weights": self.weights.tolist()}
-
-    @staticmethod
-    def from_payload(p: dict) -> "GmmModel":
-        return GmmModel(means=np.asarray(p["means"], dtype=np.float64),
-                        covs=np.asarray(p["covs"], dtype=np.float64),
-                        weights=np.asarray(p["weights"], dtype=np.float64))
 
 
 def _regularize(cov: np.ndarray) -> np.ndarray:
@@ -195,10 +184,9 @@ def polish_objective(w: np.ndarray, b: float, Z: np.ndarray, c: np.ndarray,
 def _polish_qp(Q_inputs: np.ndarray, y: np.ndarray, C: float):
     """Soft-margin primal over (w, b) at fixed flip variables: a linear SVM
     on the rows of Q_inputs, solved in its dual by SMO."""
-    m = Q_inputs.shape[0]
-    svm = train_weighted_svm(WeightedBinaryProblem(Q_inputs, y, np.ones(m), C),
-                             KernelSpec("linear"), tol=1e-10)
-    return svm.coef @ svm.vectors, svm.bias
+    support, coef, bias = weighted_svm_support(Q_inputs, y, np.ones(Q_inputs.shape[0]), C,
+                                               KernelSpec("linear"), tol=1e-10)
+    return coef @ Q_inputs[support], bias
 
 
 def _polish_lp(w: np.ndarray, b: float, c: np.ndarray, y: np.ndarray,
@@ -263,37 +251,38 @@ def polish_labels(c: np.ndarray, y: np.ndarray, theta: int, C: float,
 
 @dataclass(eq=False)
 class SubCodModel:
-    gmm: GmmModel
-    c_tilde: np.ndarray                  # (m, M) polished training vectors
+    """What predict reads: the inner MimlSvm over the M sub-concepts and the
+    one-vs-rest linear mapper from pseudo-label vectors to the training
+    classes.  The fitted GMM, the polished training vectors c_tilde and the
+    resolved theta are ``history`` entries; model files do not hold them."""
+
     inner: MimlSvmModel
-    mapper_classes: Tuple[int, ...]      # original label indices
-    mappers: Tuple[SvmDecision, ...]     # one-vs-rest on pseudo-label vectors
-    theta: int
-    C: float
+    mapper_classes: Tuple[int, ...]      # original label index of each mapper output
+    mapper: SvmDecision                  # one output per class, on pseudo-label vectors
+    T: int                               # labels scored, as in the training file
     history: dict = field(default_factory=dict, repr=False)
 
     def to_payload(self) -> dict:
         return {
-            "gmm": self.gmm.to_payload(),
-            "c_tilde": self.c_tilde.tolist(),
             "inner": self.inner.to_payload(),
             "mapper_classes": list(self.mapper_classes),
-            "mappers": [s.to_payload() for s in self.mappers],
-            "theta": self.theta,
-            "C": self.C,
+            "mapper": self.mapper.to_payload(),
+            "T": self.T,
         }
 
     @staticmethod
     def from_payload(p: dict) -> "SubCodModel":
-        return SubCodModel(
-            gmm=GmmModel.from_payload(p["gmm"]),
-            c_tilde=np.asarray(p["c_tilde"], dtype=np.float64),
-            inner=MimlSvmModel.from_payload(p["inner"]),
-            mapper_classes=tuple(int(v) for v in p["mapper_classes"]),
-            mappers=tuple(SvmDecision.from_payload(s) for s in p["mappers"]),
-            theta=int(p["theta"]),
-            C=float(p["C"]),
-        )
+        if "mappers" in p:
+            raise ValueError("the per-class 'mappers' layout is no longer read; "
+                             "retrain the model")
+        T = int(p["T"])
+        inner = MimlSvmModel.from_payload(p["inner"])
+        classes = tuple(int(v) for v in p["mapper_classes"])
+        if not classes or len(set(classes)) < len(classes) or not all(0 <= v < T for v in classes):
+            raise ValueError(f"mapper_classes must be distinct labels in [0, {T})")
+        return SubCodModel(inner=inner, mapper_classes=classes,
+                           mapper=SvmDecision.from_payload(p["mapper"], inner.T, len(classes)),
+                           T=T)
 
 
 def _single_labels(ds: MimlDataset) -> np.ndarray:
@@ -351,41 +340,29 @@ def fit(ds: MimlDataset, cfg: SubCodConfig = SubCodConfig()) -> SubCodModel:
     inner_cfg = MimlSvmConfig(k=cfg.inner_k, C=cfg.inner_C, seed=cfg.seed)
     inner = mimlsvm_fit(pseudo, inner_cfg)
 
-    classes = tuple(int(v) for v in np.unique(labels))
-    mappers = _fit_mappers(c_tilde, labels, classes)
+    classes = np.unique(labels)
+    mapper = train_ovr_svm(c_tilde, np.where(labels[:, None] == classes, 1.0, -1.0), 10.0,
+                           KernelSpec("linear"))
     return SubCodModel(
-        gmm=gmm, c_tilde=c_tilde, inner=inner,
-        mapper_classes=classes, mappers=mappers,
-        theta=theta, C=cfg.C,
-        history={"em": gmm.history, "polish": polish_history,
-                 "assignments": assignments},
+        inner=inner, mapper_classes=tuple(classes.tolist()), mapper=mapper, T=ds.T,
+        history={"em": gmm.history, "polish": polish_history, "assignments": assignments,
+                 "gmm": gmm, "c_tilde": c_tilde, "theta": theta},
     )
-
-
-def _fit_mappers(c_tilde: np.ndarray, labels: np.ndarray, classes) -> Tuple[SvmDecision, ...]:
-    m = c_tilde.shape[0]
-    spec = KernelSpec("linear")
-    gram = kernels.instance_gram(spec, c_tilde)
-    mappers = []
-    for cls in classes:
-        y = np.where(labels == cls, 1.0, -1.0)
-        prob = WeightedBinaryProblem(X=c_tilde, y=y, weights=np.ones(m), C=10.0)
-        mappers.append(train_weighted_svm(prob, spec, gram=gram))
-    return tuple(mappers)
 
 
 def predict_many(model: SubCodModel, bags: Sequence[Bag]) -> List[LabelScores]:
     """Score view for the evaluation harness: the inner MIML predictions,
     thresholded to +-1 vectors over the sub-concepts, scored by every
-    per-class mapper; the single predicted class is the mapper argmax."""
-    pseudo = -np.ones((len(bags), model.gmm.M))
+    mapper output; the single predicted class is the mapper argmax.  Scores
+    cover the model's T labels, and a label no training example held
+    scores below every class."""
+    pseudo = -np.ones((len(bags), model.inner.T))
     for row, inner in zip(pseudo, mimlsvm_predict_many(model.inner, bags)):
         row[list(inner.predicted)] = 1.0
-    votes = np.column_stack([mapper.decision(pseudo) for mapper in model.mappers])
-    T = max(model.mapper_classes) + 1
+    classes = list(model.mapper_classes)
     out = []
-    for v in votes:
-        scores = np.full(T, v.min() - 1.0)
-        scores[list(model.mapper_classes)] = v
-        out.append(LabelScores(scores, {model.mapper_classes[int(np.argmax(v))]}))
+    for v in model.mapper.decision(pseudo):
+        scores = np.full(model.T, v.min() - 1.0)
+        scores[classes] = v
+        out.append(LabelScores(scores, {classes[int(np.argmax(v))]}))
     return out

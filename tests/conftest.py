@@ -5,6 +5,7 @@ from miml._dist import pairwise_sq_hausdorff
 from miml.bagdist import stack_bags
 from miml.bench import fit_prior
 from miml.core import Bag, MimlDataset
+from miml.kernels import instance_gram
 
 
 def random_bag(rng, d, n_min=1, n_max=4, ident="b"):
@@ -30,6 +31,16 @@ def hausdorff(a, b):
     xa, offa = stack_bags([a])
     xb, offb = stack_bags([b])
     return float(np.sqrt(pairwise_sq_hausdorff(xa, offa, xb, offb)[0, 0]))
+
+
+def reference_decision(kernel, vectors, coef, bias, X):
+    """The single-output SVM scorer that one multi-output ``SvmDecision``
+    per model replaced: sum_i coef_i k(vectors_i, x) + bias for each row x
+    of X, over that output's own support vectors only."""
+    X = np.asarray(X, dtype=np.float64)
+    if vectors.shape[0] == 0:
+        return np.full(X.shape[0], float(bias))
+    return coef @ instance_gram(kernel, vectors, X) + bias
 
 
 def prior_fit_predict(train_ds, run_seed):

@@ -230,16 +230,19 @@ def test_eval_stdout_matches_golden(algo, tmp_path):
 # solver (re-recorded when the restricted problems moved from the primal QP to
 # the dual).  All four were re-recorded when model bodies lost their indent
 # (mimlsvm, subcod and dmimlsvm bodies parse to the same objects as before)
-# and MimlBoost's rounds moved to one support pool.
+# and MimlBoost's rounds moved to one support pool.  mimlsvm and subcod were
+# re-recorded when each model's SVMs became one multi-output decision (the
+# same per-label coefficients and biases) and SubCod's payload kept only what
+# predict reads.
 _MODEL_DATA = "T=3\nd=4\nm=40\nn_min=2\nn_max=5\nspread=1.0\nseed=7\n"
 _GOLDEN_MODEL_SHA = {
     "mimlboost": (_MODEL_DATA, "boost.rounds=8\nboost.seed=1\n",
                   "76d5c31fed5dc77cd9a77e312a686a15c508c3b14a0f195e14ff499783a666ca"),
     "mimlsvm": (_MODEL_DATA, "mimlsvm.seed=1\n",
-                "6c773fe7eadfe0c208ff0102d2abe9f1e3bd017ad488c1242518cdb6b9200e2f"),
+                "09418c9d1b8040c1d2af064738918c815f1b88b486c31a5f4feb4609695efe3f"),
     "subcod": ("T=2\nd=4\nn_min=2\nn_max=6\nspread=2.0\nm=28\nseed=7\n",
                "subcod.seed=1\n",
-               "a51ade7faff4ad084421ef6bc115405cc1c03fff0dd5466c1c03943ca271d3dd"),
+               "3bc038518ec50840ab30324e1f6d98a0319a256f8e219a1936a8dc9f237e775c"),
     "dmimlsvm": ("T=3\nd=4\nn_min=1\nn_max=4\nspread=1.5\nm=12\nseed=7\n",
                  "dmiml.cccp_iters=3\ndmiml.seed=1\n",
                  "cd636fab11a2b00b936d2882965e8e0fa1202be9e0111e96b2ab9d83159cf3c2"),
@@ -523,7 +526,7 @@ def test_model_payload_missing_field_is_data_error(tmp_path, capsys):
     body = json.dumps({"hyper": {}, "payload": {"medoids": [], "T": 3, "k": 1}})
     code, _ = _eval_model_text(tmp_path, "miml-model/1 mimlsvm\n" + body + "\n")
     assert code == 2
-    assert "'svms'" in capsys.readouterr().err
+    assert "'svm'" in capsys.readouterr().err
 
 
 def _old_svm_layout(p):
@@ -552,6 +555,78 @@ def test_malformed_mimlboost_payload_is_data_error(edit, message, tmp_path, caps
     assert code == 2 and text == ""
     err = capsys.readouterr().err
     assert "bad mimlboost model payload" in err and message in err
+
+
+def _old_multi_svm_layout(key, old_key):
+    """An edit that writes ``key``'s decision as the per-output list the
+    multi-output decision replaced."""
+    def edit(p):
+        dec = p.pop(key)
+        p[old_key] = [{"kernel": dec["kernel"], "vectors": dec["vectors"],
+                       "coef": [row[j] for row in dec["coef"]], "bias": b}
+                      for j, b in enumerate(dec["bias"])]
+    return edit
+
+
+def _svm_edits(key, old_key):
+    return [
+        (lambda p: p[key]["coef"].pop(), "coef has"),
+        (lambda p: p[key]["bias"].pop(), "bias must hold"),
+        (lambda p: p[key]["coef"][0].pop(), "coef rows must have"),
+        (lambda p: p[key]["vectors"][0].append(0.0), "vectors rows must have"),
+        (_old_multi_svm_layout(key, old_key), f"'{old_key}' layout"),
+    ]
+
+
+_MALFORMED = {
+    "mimlsvm": ("T=3\nd=4\nm=10\nseed=1\n", "mimlsvm.C=1.0\n", "svm",
+                _svm_edits("svm", "svms") + [
+                    (lambda p: p["medoids"].pop(), "medoids for k="),
+                ]),
+    "subcod": ("T=2\nd=4\nn_min=2\nn_max=6\nm=12\nseed=1\n", "subcod.M=3\n", "mapper",
+               _svm_edits("mapper", "mappers") + [
+                   (lambda p: p["mapper_classes"].__setitem__(0, -1), "mapper_classes must be"),
+                   (lambda p: p["mapper_classes"].__setitem__(0, p["T"]), "mapper_classes must be"),
+                   (lambda p: p["inner"]["svm"]["bias"].pop(), "bias must hold"),
+               ]),
+}
+
+
+@pytest.mark.parametrize("algo,case", [(algo, i) for algo in sorted(_MALFORMED)
+                                       for i in range(len(_MALFORMED[algo][3]))])
+def test_malformed_multi_svm_payload_is_data_error(algo, case, tmp_path, capsys):
+    shape, config, key, edits = _MALFORMED[algo]
+    edit, message = edits[case]
+    model = _train(tmp_path, algo, _synth(tmp_path, "train", shape), config)
+    head, _, body = model.read_text().partition("\n")
+    data = json.loads(body)
+    dec = data["payload"][key]
+    assert len(dec["vectors"]) >= 1 and len(dec["bias"]) >= 2
+    edit(data["payload"])
+    code, text = _eval_model_text(tmp_path, head + "\n" + json.dumps(data) + "\n")
+    assert code == 2 and text == ""
+    err = capsys.readouterr().err
+    assert f"bad {algo} model payload" in err and message in err
+
+
+@pytest.mark.parametrize("command", ["eval", "cv"])
+def test_subcod_scores_every_label_of_its_training_file(command, tmp_path):
+    """SubCod trained on a T=3 file whose examples hold only the first two
+    classes scores all three labels (the model used to score as many labels
+    as its highest class plus one, and eval then rejected it)."""
+    two = dataio.parse_dataset(_synth(tmp_path, "two", _GOLDEN_SETUP["subcod"][0]
+                                      + "m=24\nseed=3\n").read_text())
+    train = tmp_path / "train.miml"
+    train.write_text(dataio.serialize_dataset(MimlDataset(two.examples, T=3, d=two.d)))
+    if command == "eval":
+        model = _train(tmp_path, "subcod", train, "subcod.seed=1\n")
+        test = _synth(tmp_path, "test", "T=3\nd=4\nm=12\nseed=4\n")
+        code, text = _run(["eval", "--model", str(model), "--data", str(test)])
+    else:
+        code, text = _run(["cv", "--algo", "subcod", "--data", str(train), "--runs", "2"])
+    assert code == 0
+    assert text.split()[:7] == ["hloss", "one-error", "coverage", "rloss", "aveprec",
+                                "averecl", "aveF1"]
 
 
 # every documented key at a non-default value, and the config the per-learner

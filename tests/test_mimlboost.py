@@ -16,22 +16,21 @@ from miml.mimlboost import (
     train_stump,
     transform_to_mil,
 )
-from miml.solvers import SvmDecision
-
-from conftest import random_dataset
+from conftest import random_dataset, reference_decision
 
 
 def reference_round_decisions(model: BoostModel, X: np.ndarray) -> np.ndarray:
     """Per-(round, label) decision values of the layout the support pool
-    replaced: each round is one SvmDecision over its support vectors with
-    their one-hot label blocks appended, called on X augmented with each
-    label's block.  Column r*T + v is round r at label v."""
+    replaced: each round is one single-output decision over its support
+    vectors with their one-hot label blocks appended, called on X augmented
+    with each label's block.  Column r*T + v is round r at label v."""
     T = model.T
     cols = []
     for weak, _ in model.rounds:
         vectors = np.hstack([weak.pool.X[weak.sv], np.eye(T)[weak.label]])
-        dec = SvmDecision(KernelSpec("rbf", weak.pool.gamma), vectors, weak.coef, weak.bias)
-        cols.extend(dec.decision(_augment(X, v, T)) for v in range(T))
+        cols.extend(reference_decision(KernelSpec("rbf", weak.pool.gamma), vectors, weak.coef,
+                                       weak.bias, _augment(X, v, T))
+                    for v in range(T))
     return np.stack(cols, axis=1)
 
 

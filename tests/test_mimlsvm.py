@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
 
-from miml.bagdist import pairwise_hausdorff
+from miml.bagdist import k_medoids_from_dists, pairwise_hausdorff
 from miml.bench import SynthSpec, generate
+from miml.cli import EVAL_BLOCK
+from miml.core import Bag, psi
+from miml.kernels import KernelSpec
 from miml.metrics import compute_report
-from miml.mimlsvm import MimlSvmConfig, _holdout_C, fit, predict_many, tcriterion
+from miml.mimlsvm import (MimlSvmConfig, _holdout_C, fit, predict_many, resolve_k,
+                          tcriterion)
+from miml.solvers import weighted_svm_support
 
-from conftest import hausdorff, random_bag, random_dataset
+from conftest import hausdorff, random_bag, random_dataset, reference_decision
 
 
 def test_medoid_distances_against_per_medoid_oracle(rng):
@@ -36,7 +41,8 @@ def test_tcriterion_never_empty(rng):
 def test_fit_structure_and_membership_signs(rng):
     ds = random_dataset(rng, m=8, T=3, d=2)
     model = fit(ds, MimlSvmConfig(C=1.0, seed=0))
-    assert len(model.svms) == 3
+    assert model.svm.coef.shape == (model.svm.vectors.shape[0], 3)
+    assert model.svm.vectors.shape[1] == model.k
     assert 1 <= model.k <= ds.m
     assert len(model.medoids) == model.k
     (ls,) = predict_many(model, ds.bags()[:1])
@@ -86,3 +92,73 @@ def test_explicit_k_above_holdout_subset_is_clamped(rng):
     model = fit(ds, MimlSvmConfig(k=18))
     assert model.k == 18 and len(model.medoids) == 18
     assert model.history["C"] in (0.1, 1.0, 10.0)
+
+
+def reference_label_svms(Z, label_sets, T, C, gamma):
+    """The per-label layout one multi-output decision replaced: for each
+    label, its own (support vectors, coef, bias) on the rows of Z."""
+    spec = KernelSpec("rbf", gamma if gamma is not None else 1.0 / Z.shape[1])
+    out = []
+    for t in range(T):
+        y = np.array([float(psi(labels, t, T)) for labels in label_sets])
+        support, coef, bias = weighted_svm_support(Z, y, np.ones(len(y)), C, spec)
+        out.append((Z[support], coef, bias))
+    return spec, out
+
+
+def reference_scores(spec, label_svms, Q):
+    """(q, T) scores of the per-label single-output scorers."""
+    return np.column_stack([reference_decision(spec, v, a, b, Q) for v, a, b in label_svms])
+
+
+def reference_holdout_C(ds, cfg, D):
+    """The hold-out C of the per-label layout: the same 75/25 split, each
+    label scored by its own single-output decision."""
+    perm = np.random.default_rng(cfg.seed).permutation(ds.m)
+    cut = min(max(1, int(round(0.75 * ds.m))), ds.m - 1)
+    sub, hold = perm[:cut], perm[cut:]
+    k = resolve_k(cfg, len(sub)) if cfg.k is None else min(cfg.k, len(sub))
+    medoids = sub[list(k_medoids_from_dists(D[np.ix_(sub, sub)], k, seed=cfg.seed).medoid_indices)]
+    labels = ds.label_sets()
+    scores = {}
+    for C in (0.1, 1.0, 10.0):
+        spec, svms = reference_label_svms(D[np.ix_(sub, medoids)], [labels[i] for i in sub],
+                                          ds.T, C, cfg.gamma)
+        S = reference_scores(spec, svms, D[np.ix_(hold, medoids)])
+        total = sum(len(tcriterion(s).symmetric_difference(labels[i])) for s, i in zip(S, hold))
+        scores[C] = total / (len(hold) * ds.T)
+    return min(scores, key=lambda C: (scores[C], C)), {"holdout_hamming": scores}
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_label_svms_match_per_label_reference(seed):
+    """Each label's column of the one decision holds that label's SVM bit
+    for bit, scores every query as its single-output scorer does to 1e-12
+    of the decision's scale, and the hold-out picks the reference's C."""
+    ds, _ = generate(SynthSpec(T=4, d=4, m=40, n_min=1, n_max=5, spread=1.0, seed=seed))
+    cfg = MimlSvmConfig(seed=seed)
+    D = pairwise_hausdorff(ds.bags())
+    C, history = _holdout_C(ds, cfg, D)
+    assert (C, history) == reference_holdout_C(ds, cfg, D)
+    model = fit(ds, cfg)
+    assert model.history["C"] == C
+
+    # the fit's distance vectors: the medoids' columns of D
+    ids = [b.id for b in ds.bags()]
+    Z = D[:, [ids.index(b.id) for b in model.medoids]]
+    spec, svms = reference_label_svms(Z, ds.label_sets(), ds.T, C, cfg.gamma)
+    assert model.svm.kernel == spec
+    for t, (vectors, coef, bias) in enumerate(svms):
+        nz = np.flatnonzero(model.svm.coef[:, t])
+        assert model.svm.vectors[nz].tobytes() == vectors.tobytes()
+        assert model.svm.coef[nz, t].tobytes() == coef.tobytes()
+        assert model.svm.bias[t] == bias
+
+    rng = np.random.default_rng(seed)
+    bags = [Bag(f"q{i}", 2.0 * rng.normal(size=(int(rng.integers(1, 6)), ds.d)))
+            for i in range(EVAL_BLOCK + 45)]
+    Q = pairwise_hausdorff(bags, model.medoids)
+    ref = reference_scores(spec, svms, Q)
+    scale = np.array([np.abs(a).sum() + abs(b) for _, a, b in svms])
+    got = np.array([ls.scores for ls in predict_many(model, bags)])
+    assert np.all(np.abs(got - ref) <= 1e-12 * scale)

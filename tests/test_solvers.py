@@ -6,16 +6,18 @@ from miml.dmimlsvm import DMimlConfig
 from miml.kernels import KernelSpec, instance_gram
 from miml.solvers import (
     NumericalError,
-    WeightedBinaryProblem,
+    SvmDecision,
     lstsq_svd,
     minimize_1d_convex,
     smo_solve,
-    train_weighted_svm,
+    train_ovr_svm,
+    weighted_svm_support,
 )
 from miml.subcod import SubCodConfig, polish_objective
 
 import lp_oracle
 import qp_oracle
+from conftest import reference_decision
 from lp_oracle import InfeasibleError, LpProblem, UnboundedError, solve_lp
 from qp_oracle import QpProblem, solve_qp
 
@@ -249,34 +251,44 @@ def test_qp_warm_start_matches_cold(rng):
 # ------------------------------------------------------------ SVM
 
 def test_svm_separable_pair():
-    prob = WeightedBinaryProblem(
-        X=np.array([[-1.0], [1.0]]), y=np.array([-1.0, 1.0]),
-        weights=np.ones(2), C=100.0)
-    dec = train_weighted_svm(prob, KernelSpec("linear"))
-    scores = dec.decision(prob.X)
+    X, y = np.array([[-1.0], [1.0]]), np.array([-1.0, 1.0])
+    scores = train_ovr_svm(X, y[:, None], 100.0, KernelSpec("linear")).decision(X)[:, 0]
     assert scores[0] < 0 < scores[1]
-    assert prob.y @ scores >= 2 * (1 - 1e-6)  # both margins >= 1 - 1e-6
+    assert y @ scores >= 2 * (1 - 1e-6)  # both margins >= 1 - 1e-6
+
+
+def _support_scores(X, y, w, C, spec, Q):
+    """Scores on the rows of Q of the weighted SVM on (X, y, w)."""
+    support, coef, bias = weighted_svm_support(X, y, w, C, spec)
+    return reference_decision(KernelSpec(spec.kind, spec.resolve_gamma(X.shape[1])),
+                              X[support], coef, bias, Q)
 
 
 def test_svm_zero_weight_examples_are_inert(rng):
     X = rng.normal(size=(12, 2))
     y = np.sign(X[:, 0]) + (X[:, 0] == 0)
     w = np.ones(12)
-    base = train_weighted_svm(WeightedBinaryProblem(X, y, w, 5.0), KernelSpec("rbf", 1.0))
     X2 = np.vstack([X, rng.normal(size=(3, 2))])
     y2 = np.concatenate([y, [1.0, -1.0, 1.0]])
     w2 = np.concatenate([w, np.zeros(3)])
-    aug = train_weighted_svm(WeightedBinaryProblem(X2, y2, w2, 5.0), KernelSpec("rbf", 1.0))
     probe = rng.normal(size=(20, 2))
-    assert np.allclose(base.decision(probe), aug.decision(probe), atol=1e-8)
+    spec = KernelSpec("rbf", 1.0)
+    assert np.allclose(_support_scores(X, y, w, 5.0, spec, probe),
+                       _support_scores(X2, y2, w2, 5.0, spec, probe), atol=1e-8)
 
 
 def test_svm_single_class_constant():
-    prob = WeightedBinaryProblem(
-        X=np.array([[0.0], [1.0]]), y=np.array([1.0, 1.0]),
-        weights=np.ones(2), C=1.0)
-    dec = train_weighted_svm(prob, KernelSpec("linear"))
-    assert np.all(dec.decision(np.array([[5.0], [-5.0]])) == 1.0)
+    X = np.array([[0.0], [1.0], [2.0]])
+    Y = np.array([[1.0, -1.0, 1.0], [1.0, -1.0, -1.0], [1.0, -1.0, 1.0]])
+    dec = train_ovr_svm(X, Y, 1.0, KernelSpec("linear"))
+    # the single-class columns have no support and score their sign
+    assert np.all(dec.coef[:, :2] == 0.0) and dec.vectors.shape[0] >= 2
+    scores = dec.decision(np.array([[5.0], [-5.0]]))
+    assert np.all(scores[:, 0] == 1.0) and np.all(scores[:, 1] == -1.0)
+    # nothing supports any column: an empty pool scores the biases
+    empty = train_ovr_svm(X, Y[:, :2], 1.0, KernelSpec("linear"))
+    assert empty.vectors.shape == (0, 1) and empty.coef.shape == (0, 2)
+    assert np.array_equal(empty.decision(X), np.tile([1.0, -1.0], (3, 1)))
 
 
 def test_svm_dual_matches_qp_oracle(rng):
@@ -302,8 +314,6 @@ def test_svm_complementary_slackness(rng):
     X = rng.normal(size=(n, 2))
     y = np.where(X[:, 1] > 0, 1.0, -1.0)
     spec = KernelSpec("rbf", 1.0)
-    prob = WeightedBinaryProblem(X, y, np.ones(n), 3.0)
-    dec = train_weighted_svm(prob, spec, tol=1e-8)
     K = instance_gram(spec, X)
     alpha, b, _ = smo_solve(K, y, 3.0 * np.ones(n), tol=1e-8)
     f = (alpha * y) @ K + b
@@ -423,16 +433,74 @@ def test_smo_zero_iterations_returns_start(rng):
     assert smo_solve(K, y, np.ones(6), max_iter=1)[2] == 1
 
 
-def test_train_weighted_svm_precomputed_gram_is_identical(rng):
+def test_weighted_svm_support_precomputed_gram_is_identical(rng):
     X = rng.normal(size=(30, 3))
     y = np.where(X[:, 0] > 0, 1.0, -1.0)
-    prob = WeightedBinaryProblem(X, y, rng.uniform(0.0, 1.0, size=30), 2.0)
+    w = rng.uniform(0.0, 1.0, size=30)
     spec = KernelSpec("rbf", None)
-    base = train_weighted_svm(prob, spec, tol=1e-3)
-    given = train_weighted_svm(prob, spec, tol=1e-3, gram=instance_gram(spec, X))
-    assert given.to_payload() == base.to_payload()
+    base = weighted_svm_support(X, y, w, 2.0, spec, tol=1e-3)
+    given = weighted_svm_support(X, y, w, 2.0, spec, tol=1e-3, gram=instance_gram(spec, X))
+    assert all(np.array_equal(a, b) for a, b in zip(given, base))
     with pytest.raises(ValueError):
-        train_weighted_svm(prob, spec, gram=np.eye(29))
+        weighted_svm_support(X, y, w, 2.0, spec, gram=np.eye(29))
+    Y = np.column_stack([y, -y, np.where(X[:, 1] > 0, 1.0, -1.0)])
+    given = train_ovr_svm(X, Y, 2.0, spec, gram=instance_gram(spec, X))
+    assert given.to_payload() == train_ovr_svm(X, Y, 2.0, spec).to_payload()
+
+
+def _ovr_problem(rng, case):
+    """Rows, a +-1 target matrix and C; every third case has rounded
+    (duplicated) rows and a single-class column."""
+    n, d, outputs = int(rng.integers(4, 40)), int(rng.integers(1, 5)), int(rng.integers(1, 6))
+    X = rng.normal(size=(n, d))
+    if case % 3 == 0:
+        X = np.round(X)
+    Y = np.where(rng.random((n, outputs)) < 0.4, 1.0, -1.0)
+    if case % 3 == 0:
+        Y[:, 0] = -1.0
+    return X, Y, float(rng.choice([0.1, 1.0, 10.0]))
+
+
+@pytest.mark.parametrize("kind", ["rbf", "linear"])
+def test_ovr_columns_are_weighted_svm_support(kind):
+    """Column j of the one-vs-rest decision is the unit-weight SVM of
+    Y[:, j] bit for bit, and its scores are the single-output scorer's to
+    1e-12 of the decision's scale."""
+    rng = np.random.default_rng(20261020)
+    for case in range(40):
+        X, Y, C = _ovr_problem(rng, case)
+        spec = KernelSpec(kind, None if case % 2 else 0.7)
+        dec = train_ovr_svm(X, Y, C, spec)
+        assert dec.kernel == KernelSpec(kind, spec.resolve_gamma(X.shape[1]))
+        supports = []
+        Q = rng.normal(size=(25, X.shape[1]))
+        got = dec.decision(Q)
+        for j, y in enumerate(Y.T):
+            support, coef, bias = weighted_svm_support(X, y, np.ones(len(y)), C, spec)
+            supports.append(support)
+            nz = np.flatnonzero(dec.coef[:, j])
+            assert dec.vectors[nz].tobytes() == X[support].tobytes(), case
+            assert dec.coef[nz, j].tobytes() == coef.tobytes(), case
+            assert dec.bias[j] == bias, case
+            ref = reference_decision(dec.kernel, X[support], coef, bias, Q)
+            assert np.all(np.abs(got[:, j] - ref) <= 1e-12 * (np.abs(coef).sum() + abs(bias)))
+        # the pool is the distinct rows that support some column, in order
+        pool = np.unique(np.concatenate(supports))
+        assert dec.vectors.tobytes() == X[pool].tobytes(), case
+
+
+def test_svm_decision_payload_round_trip(rng):
+    """Shape errors are covered end to end by test_cli's malformed-payload
+    cases; here a decision and an empty pool load back and score alike."""
+    Y = np.where(rng.random((20, 2)) < 0.5, 1.0, -1.0)
+    dec = train_ovr_svm(rng.normal(size=(20, 3)), Y, 1.0, KernelSpec("rbf", None))
+    back = SvmDecision.from_payload(dec.to_payload(), 3, 2)
+    assert back.to_payload() == dec.to_payload()
+    Q = rng.normal(size=(7, 3))
+    assert np.array_equal(back.decision(Q), dec.decision(Q))
+    empty = {"kernel": dec.kernel.to_payload(), "vectors": [], "coef": [], "bias": [0.5, -2.0]}
+    assert np.array_equal(SvmDecision.from_payload(empty, 3, 2).decision(Q),
+                          np.tile([0.5, -2.0], (7, 1)))
 
 
 # ------------------------------------------------- recorded solver inputs

@@ -3,7 +3,9 @@ import pytest
 
 from miml import bench, cli
 from miml.core import Bag, MimlDataset
+from miml.kernels import KernelSpec
 from miml.metrics import compute_report
+from miml.solvers import weighted_svm_support
 from miml.subcod import (
     GmmModel,
     SubCodConfig,
@@ -173,11 +175,13 @@ def test_fit_pipeline_shapes(rng):
     ds = _mil_binary_ds(rng, m=12)
     cfg = SubCodConfig(M=2, seed=0)
     model = fit(ds, cfg)
-    assert model.c_tilde.shape == (12, 2)
-    assert np.all(np.abs(model.c_tilde) == 1.0)
-    assert np.all(model.c_tilde.max(axis=1) == 1.0)  # no all-negative rows
+    c_tilde = model.history["c_tilde"]
+    assert c_tilde.shape == (12, 2)
+    assert np.all(np.abs(c_tilde) == 1.0)
+    assert np.all(c_tilde.max(axis=1) == 1.0)  # no all-negative rows
     assert model.inner.T == 2  # pseudo-labels count
     assert model.mapper_classes == (0, 1)
+    assert model.mapper.vectors.shape[1] == 2 and model.mapper.coef.shape[1] == 2
 
 
 def test_fit_m1_predicts_majority(rng):
@@ -187,7 +191,7 @@ def test_fit_m1_predicts_majority(rng):
         examples.append((Bag(f"b{i}", rng.normal(size=(2, 2))), frozenset({cls})))
     ds = MimlDataset(tuple(examples), T=2, d=2)
     model = fit(ds, SubCodConfig(M=1, seed=0))
-    assert np.all(model.c_tilde == 1.0)
+    assert np.all(model.history["c_tilde"] == 1.0)
     for ls in predict_many(model, ds.bags()):
         assert ls.predicted == {0}
 
@@ -197,11 +201,43 @@ def test_fit_deterministic_and_predicts(rng):
     m1 = fit(ds, SubCodConfig(M=2, seed=5))
     m2 = fit(ds, SubCodConfig(M=2, seed=5))
     assert m1.to_payload() == m2.to_payload()
+    # the fitted GMM and polished vectors stay out of the payload
+    assert _gmm_bits(m1.history["gmm"]) == _gmm_bits(m2.history["gmm"])
+    assert m1.history["c_tilde"].tobytes() == m2.history["c_tilde"].tobytes()
     correct = sum(ls.predicted == labels
                   for ls, labels in zip(predict_many(m1, ds.bags()), ds.label_sets()))
     assert correct >= 0.9 * ds.m  # separable training data
     (ls,) = predict_many(m1, ds.bags()[:1])
     assert len(ls.predicted) == 1
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_mapper_columns_are_per_class_svms(seed):
+    """Each class's column of the mapper is that class's one-vs-rest SVM on
+    the polished vectors, bit for bit."""
+    ds, _ = bench.generate(bench.SynthSpec(T=2, d=4, m=28, n_min=2, n_max=6, spread=2.0,
+                                           seed=seed))
+    model = fit(ds, SubCodConfig(seed=seed))
+    c_tilde = model.history["c_tilde"]
+    labels = np.array([next(iter(y)) for y in ds.label_sets()])
+    for j, cls in enumerate(model.mapper_classes):
+        y = np.where(labels == cls, 1.0, -1.0)
+        support, coef, bias = weighted_svm_support(c_tilde, y, np.ones(ds.m), 10.0,
+                                                   KernelSpec("linear"))
+        nz = np.flatnonzero(model.mapper.coef[:, j])
+        assert model.mapper.vectors[nz].tobytes() == c_tilde[support].tobytes()
+        assert model.mapper.coef[nz, j].tobytes() == coef.tobytes()
+        assert model.mapper.bias[j] == bias
+
+
+def test_scores_every_label_of_the_training_file(rng):
+    """A T=3 training file whose examples hold only classes 0 and 1 gives a
+    model that scores three labels, the absent one below both classes."""
+    two = _mil_binary_ds(rng, m=12)
+    model = fit(MimlDataset(two.examples, T=3, d=two.d), SubCodConfig(M=2, seed=0))
+    assert model.T == 3 and model.mapper_classes == (0, 1)
+    for ls in predict_many(model, two.bags()):
+        assert ls.scores.shape == (3,) and ls.scores[2] < ls.scores[:2].min()
 
 
 def test_fit_recovers_planted_subconcepts(rng):
