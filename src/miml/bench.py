@@ -119,10 +119,11 @@ class PriorModel:
     freqs: np.ndarray
 
     def predict(self, bag: Bag) -> LabelScores:
-        predicted = frozenset(int(i) for i in np.flatnonzero(self.freqs >= 0.5))
-        if not predicted:
-            predicted = frozenset({int(np.argmax(self.freqs))})
-        return LabelScores(self.freqs, predicted)
+        """A one-row block: labels of frequency >= 1/2, else the most frequent."""
+        P = self.freqs >= 0.5
+        if not P.any():
+            P[np.argmax(self.freqs)] = True
+        return LabelScores(self.freqs[None, :], P[None, :])
 
 
 def fit_prior(ds: MimlDataset) -> PriorModel:
@@ -167,7 +168,7 @@ def random_split_eval(fit_predict: Callable, ds: MimlDataset, train_fraction: fl
     """Repeated random train/test partitions.
 
     ``fit_predict(train_ds, run_seed)`` trains on one partition and returns
-    a batch scorer ``bags -> [LabelScores]`` (one per bag, in order); each
+    a batch scorer ``bags -> [LabelScores]`` (blocks, rows in bag order); each
     run scores its held-out bags with one call and reports all seven
     criteria.  ``runs`` must be at least 1."""
     if runs < 1:

@@ -16,10 +16,11 @@ Config keys by learner (flat key=value files):
               subcod.inner_k, subcod.inner_C, subcod.em_iters, subcod.em_tol
 
 eval and cv score bags only through ``predict_blocks``: one call of the
-learner's batch scorer per block of at most ``EVAL_BLOCK`` = 256 bags, so
-memory stays bounded by the block.  For cv, ``make_fit_predict`` gives
+learner's batch scorer ``(model, bags) -> LabelScores block`` per block of
+at most ``EVAL_BLOCK`` = 256 bags, so memory stays bounded by the block, and
+the metrics take the list of blocks.  For cv, ``make_fit_predict`` gives
 ``bench.random_split_eval`` a ``fit_predict(train_ds, run_seed)`` that
-returns such a scorer, ``bags -> [LabelScores]``.
+returns ``predict_blocks`` bound to the fitted model, ``bags -> [LabelScores]``.
 
 A key under the learner's own prefix that names no setting, or a key with
 no learner prefix, is a data error; keys under another learner's prefix are
@@ -51,7 +52,7 @@ class LearnerEntry:
     model_cls: type         # to_payload() / from_payload(p) for model files
     prefix: str             # config keys are <prefix>.<field>
     fit: Callable
-    predict: Callable       # batch scorer: (model, bags) -> [LabelScores]
+    predict: Callable       # batch scorer: (model, bags) -> LabelScores block
 
     @property
     def seed_key(self) -> str:
@@ -87,13 +88,11 @@ def fit_with_config(algo: str, ds: MimlDataset, cfg_map: Dict[str, str]):
 
 
 def predict_blocks(algo: str, model, bags: Sequence[Bag]) -> List[metrics.LabelScores]:
-    """Scores of ``bags`` in order, from one ``REGISTRY[algo].predict`` call
-    per block of at most ``EVAL_BLOCK`` bags."""
+    """The ``LabelScores`` blocks of ``bags`` in order, one ``REGISTRY[algo].predict``
+    call per block of at most ``EVAL_BLOCK`` bags."""
     predict = REGISTRY[algo].predict
-    preds = []
-    for start in range(0, len(bags), EVAL_BLOCK):
-        preds.extend(predict(model, bags[start:start + EVAL_BLOCK]))
-    return preds
+    return [predict(model, bags[start:start + EVAL_BLOCK])
+            for start in range(0, len(bags), EVAL_BLOCK)]
 
 
 def make_fit_predict(algo: str, cfg_map: Dict[str, str]):

@@ -147,3 +147,12 @@ def psi(example_labels: frozenset, y: int, num_labels: int) -> int:
     if not (0 <= y < num_labels):
         raise ValueError(f"label index {y} out of range [0, {num_labels})")
     return 1 if y in example_labels else -1
+
+
+def label_signs(label_sets: Sequence[frozenset], T: int) -> np.ndarray:
+    """(m, T) float matrix of :func:`psi`: +1.0 where the label is in the
+    example's set, -1.0 elsewhere."""
+    Y = np.full((len(label_sets), T), -1.0)
+    for i, labels in enumerate(label_sets):
+        Y[i, list(labels)] = 1.0
+    return Y

@@ -153,13 +153,18 @@ def serialize_model(env: ModelEnvelope) -> str:
     return f"{MODEL_VERSION} {env.algorithm}\n{body}\n"
 
 
+def _reject_constant(name: str):
+    """``json.loads`` hook for NaN and +-Infinity; ``serialize_model`` writes neither."""
+    raise DataFormatError(2, f"non-finite number {name} in model body")
+
+
 def parse_model(text: str) -> ModelEnvelope:
     head, _, body = text.partition("\n")
     fields = head.split()
     if len(fields) != 2 or fields[0] != MODEL_VERSION:
         raise DataFormatError(1, f"expected header '{MODEL_VERSION} <algo>'")
     try:
-        data = json.loads(body)
+        data = json.loads(body, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise DataFormatError(exc.lineno + 1, f"bad model body: {exc.msg}") from None
     if not isinstance(data, dict):

@@ -27,7 +27,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import Bag, MimlDataset, psi, require_valid
+from .core import Bag, MimlDataset, label_signs, require_valid
 from .kernels import GramMatrix, KernelSpec, build_gram, kernel_against_objects
 from .metrics import LabelScores
 from .solvers import NumericalError
@@ -608,8 +608,7 @@ def _joint_objective(prob: _Problem, blocks) -> float:
 
 
 def label_matrix(ds: MimlDataset) -> np.ndarray:
-    return np.array([[psi(labels, t, ds.T) for t in range(ds.T)]
-                     for _, labels in ds.examples], dtype=np.float64)
+    return label_signs(ds.label_sets(), ds.T)
 
 
 def fit(ds: MimlDataset, cfg: DMimlConfig = DMimlConfig()) -> DMimlSvmModel:
@@ -666,12 +665,10 @@ def _decision_matrix(model: DMimlSvmModel, bags: Sequence[Bag]) -> np.ndarray:
     return K.T @ model.A + model.biases
 
 
-def predict_many(model: DMimlSvmModel, bags: Sequence[Bag]) -> List[LabelScores]:
-    """Positive-score labels with an argmax fallback for an empty set."""
-    out = []
-    for scores in _decision_matrix(model, bags):
-        predicted = frozenset(np.flatnonzero(scores > 0).tolist())
-        if not predicted:
-            predicted = frozenset({int(np.argmax(scores))})
-        out.append(LabelScores(scores, predicted))
-    return out
+def predict_many(model: DMimlSvmModel, bags: Sequence[Bag]) -> LabelScores:
+    """Positive-score labels with an argmax fallback for an empty row."""
+    S = _decision_matrix(model, bags)
+    P = S > 0
+    empty = ~P.any(axis=1)
+    P[empty, np.argmax(S[empty], axis=1)] = True
+    return LabelScores(S, P)

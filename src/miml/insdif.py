@@ -9,12 +9,12 @@ SVD least squares.
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from .bagdist import k_medoids_from_dists, pairwise_hausdorff
-from .core import Bag, MimlDataset, require_valid
+from .core import Bag, MimlDataset, label_signs, require_valid
 from .metrics import LabelScores
 from .mimlsvm import tcriterion
 from .solvers import lstsq_svd
@@ -105,10 +105,7 @@ def fit(ds: MimlDataset, cfg: InsDifConfig = InsDifConfig()) -> InsDifModel:
     medoid_idx = list(clustering.medoid_indices)
     Phi = D[:, medoid_idx]
 
-    targets = np.full((ds.m, ds.T), -1.0)
-    for i, labels in enumerate(label_sets):
-        for l in labels:
-            targets[i, l] = 1.0
+    targets = label_signs(label_sets, ds.T)
     W = lstsq_svd(Phi, targets)
 
     return InsDifModel(
@@ -120,18 +117,16 @@ def fit(ds: MimlDataset, cfg: InsDifConfig = InsDifConfig()) -> InsDifModel:
     )
 
 
-def predict_many(model: InsDifModel, bags: Sequence[Bag]) -> List[LabelScores]:
+def predict_many(model: InsDifModel, bags: Sequence[Bag]) -> LabelScores:
     """score(l) = sum_j W[j, l] * d_H(B*, C_j) for every single-instance
-    bag; the literal positive-score rule may return an empty set unless the
-    fallback flag is on."""
+    bag; the literal positive-score rule may leave a row empty unless the
+    fallback flag is on, which applies the T-criterion to empty rows."""
     if any(bag.size != 1 for bag in bags):
         raise ValueError("InsDif predicts on single-instance examples")
     transformed = [instance_to_bag(bag.feats[0], model.prototypes, ident="*") for bag in bags]
-    Phi = pairwise_hausdorff(transformed, model.medoids)
-    out = []
-    for scores in Phi @ model.W:
-        predicted = frozenset(np.flatnonzero(scores > 0).tolist())
-        if not predicted and model.fallback:
-            predicted = tcriterion(scores)
-        out.append(LabelScores(scores, predicted))
-    return out
+    S = pairwise_hausdorff(transformed, model.medoids) @ model.W
+    P = S > 0
+    if model.fallback:
+        empty = ~P.any(axis=1)
+        P[empty] = tcriterion(S[empty])
+    return LabelScores(S, P)

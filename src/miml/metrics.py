@@ -1,11 +1,12 @@
 """The seven multi-label evaluation criteria and the shared rank function.
 
-All criteria take per-example :class:`LabelScores` (real-valued confidences
-plus the discrete predicted set) against ground-truth label sets.  Every
+Predictions arrive as :class:`LabelScores` blocks, each an (n, T) score
+matrix and the matching boolean prediction matrix; every criterion takes a
+sequence of blocks (rows in order) against ground-truth label sets.  Every
 example must satisfy 1 <= |Y_i| <= T-1 so that the ranking-loss denominator
 |Y_i| * |complement| is positive.
 
-The examples are converted once to (m, T) score, prediction, truth and rank
+The blocks are stacked once into (m, T) score, prediction, truth and rank
 arrays and every criterion is computed from those.  Per-example values are
 summed sequentially in example order (a running total, via ``np.cumsum``)
 and each example's average-precision terms in the iteration order of its
@@ -15,28 +16,28 @@ examples.
 
 import itertools
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 
 @dataclass(frozen=True, eq=False)
 class LabelScores:
-    """Per-label confidences and the derived discrete prediction."""
+    """A block of n examples: per-label confidences and the discrete
+    prediction derived from them, both (n, T)."""
 
-    scores: np.ndarray   # shape (T,), finite reals
-    predicted: frozenset
+    scores: np.ndarray      # (n, T) finite float64
+    predicted: np.ndarray   # (n, T) bool
 
     def __post_init__(self):
-        arr = np.asarray(self.scores, dtype=np.float64)
-        if arr.ndim != 1:
-            raise ValueError("scores must be a 1-d vector")
-        if not np.isfinite(arr).all():
+        S = np.asarray(self.scores, dtype=np.float64)
+        P = np.asarray(self.predicted, dtype=bool)
+        if S.ndim != 2 or S.shape != P.shape:
+            raise ValueError(f"scores {S.shape} and predicted {P.shape} must share one (n, T) shape")
+        if not np.isfinite(S).all():
             raise ValueError("scores must be finite")
-        arr = np.ascontiguousarray(arr)
-        arr.flags.writeable = False
-        object.__setattr__(self, "scores", arr)
-        object.__setattr__(self, "predicted", frozenset(int(y) for y in self.predicted))
+        object.__setattr__(self, "scores", S)
+        object.__setattr__(self, "predicted", P)
 
 
 @dataclass(frozen=True)
@@ -84,7 +85,7 @@ class _Arrays(NamedTuple):
     (example, label) pairs in each set's iteration order."""
 
     S: np.ndarray        # scores
-    P: np.ndarray        # predicted sets, bool
+    P: np.ndarray        # predictions, bool
     Y: np.ndarray        # truth sets, bool
     R: np.ndarray        # ranks of S
     ny: np.ndarray       # truth set sizes
@@ -92,41 +93,31 @@ class _Arrays(NamedTuple):
     y_cols: np.ndarray
 
 
-def _label_matrix(sets: Sequence[frozenset], T: int, what: str):
-    """Membership matrix of the label sets and their (row, label) pairs in
-    iteration order; every label must lie in [0, T)."""
-    m = len(sets)
-    sizes = np.fromiter((len(s) for s in sets), dtype=np.int64, count=m)
-    rows = np.repeat(np.arange(m), sizes)
-    cols = np.fromiter(itertools.chain.from_iterable(sets), dtype=np.int64,
-                       count=rows.size)
-    out_of_range = (cols < 0) | (cols >= T)
-    if out_of_range.any():
-        i = int(rows[np.argmax(out_of_range)])
-        raise ValueError(f"{what} label index out of range [0, {T}) at example {i}")
-    M = np.zeros((m, T), dtype=bool)
-    M[rows, cols] = True
-    return M, sizes, rows, cols
-
-
-def _as_arrays(preds: Sequence[LabelScores], truth: Sequence[frozenset], T: int) -> _Arrays:
-    """Check the examples against each other and T, then convert them."""
-    if len(preds) != len(truth):
-        raise ValueError("preds and truth must have equal length")
-    if len(preds) == 0:
+def _as_arrays(preds: Sequence[LabelScores], truth: Sequence[frozenset],
+               T: Optional[int] = None) -> _Arrays:
+    """Stack the blocks and check them against the truth sets and T (the
+    blocks' width when T is None)."""
+    S = np.concatenate([p.scores for p in preds])
+    P = np.concatenate([p.predicted for p in preds])
+    m, width = S.shape
+    T = width if T is None else T
+    if width != T:
+        raise ValueError(f"predictions have {width} label scores, expected T={T}")
+    if m != len(truth):
+        raise ValueError(f"{m} predictions for {len(truth)} truth sets")
+    if m == 0:
         raise ValueError("need at least one example")
-    for i, p in enumerate(preds):
-        if p.scores.shape != (T,):
-            raise ValueError(f"example {i} has {p.scores.size} label scores, "
-                             f"expected T={T}")
-    S = np.array([p.scores for p in preds], dtype=np.float64)
-    P = _label_matrix([p.predicted for p in preds], T, "predicted")[0]
-    Y, ny, y_rows, y_cols = _label_matrix(truth, T, "truth")
+    ny = np.fromiter((len(y) for y in truth), dtype=np.int64, count=m)
+    y_rows = np.repeat(np.arange(m), ny)
+    y_cols = np.fromiter(itertools.chain.from_iterable(truth), dtype=np.int64,
+                         count=y_rows.size)
+    out_of_range = (y_cols < 0) | (y_cols >= T)
+    if out_of_range.any():
+        i = int(y_rows[np.argmax(out_of_range)])
+        raise ValueError(f"truth label index out of range [0, {T}) at example {i}")
+    Y = np.zeros((m, T), dtype=bool)
+    Y[y_rows, y_cols] = True
     return _Arrays(S, P, Y, _rank_rows(S), ny, y_rows, y_cols)
-
-
-def _num_labels(preds: Sequence[LabelScores]) -> int:
-    return preds[0].scores.size if len(preds) else 0
 
 
 def _require_truth(a: _Arrays) -> None:
@@ -204,11 +195,11 @@ def hamming_loss(preds: Sequence[LabelScores], truth: Sequence[frozenset], T: in
 
 
 def one_error(preds: Sequence[LabelScores], truth: Sequence[frozenset]) -> float:
-    return _one_error(_as_arrays(preds, truth, _num_labels(preds)))
+    return _one_error(_as_arrays(preds, truth))
 
 
 def coverage(preds: Sequence[LabelScores], truth: Sequence[frozenset]) -> float:
-    return _coverage(_as_arrays(preds, truth, _num_labels(preds)))
+    return _coverage(_as_arrays(preds, truth))
 
 
 def ranking_loss(preds: Sequence[LabelScores], truth: Sequence[frozenset], T: int) -> float:
@@ -219,11 +210,11 @@ def ranking_loss(preds: Sequence[LabelScores], truth: Sequence[frozenset], T: in
 
 
 def average_precision(preds: Sequence[LabelScores], truth: Sequence[frozenset]) -> float:
-    return _average_precision(_as_arrays(preds, truth, _num_labels(preds)))
+    return _average_precision(_as_arrays(preds, truth))
 
 
 def average_recall(preds: Sequence[LabelScores], truth: Sequence[frozenset]) -> float:
-    return _average_recall(_as_arrays(preds, truth, _num_labels(preds)))
+    return _average_recall(_as_arrays(preds, truth))
 
 
 def average_f1(avgprec: float, avgrecl: float) -> float:
@@ -234,8 +225,8 @@ def average_f1(avgprec: float, avgrecl: float) -> float:
 
 
 def compute_report(preds: Sequence[LabelScores], truth: Sequence[frozenset], T: int) -> MetricReport:
-    """Evaluate all seven criteria at once.  Each prediction must carry
-    exactly T label scores."""
+    """Evaluate all seven criteria at once over the blocks' rows.  Every
+    block must carry exactly T label scores per row."""
     a = _as_arrays(preds, truth, T)
     p = _average_precision(a)
     r = _average_recall(a)

@@ -131,10 +131,14 @@ def _svm_rounds_from_payload(p: dict, T: int, d: int):
     sv = _indices([j for r in rounds for j in r["sv"]], len(rows), "sv")
     label = _indices([v for r in rounds for v in r["label"]], T, "label")
     coef = np.array([a for r in rounds for a in r["coef"]], dtype=np.float64)
+    bias = np.array([r["bias"] for r in rounds], dtype=np.float64)
+    c = np.array([r["c"] for r in rounds], dtype=np.float64)
+    # the weak learners' sign step would hide a NaN decision
+    if not all(np.isfinite(a).all() for a in (pool.X, pool.gamma, coef, bias, c)):
+        raise ValueError("pool, gamma, coef, bias and c must be finite")
     ends = np.cumsum([len(r["sv"]) for r in rounds], dtype=np.intp).tolist()
-    return tuple(
-        (PoolSvm(pool, sv[a:b], label[a:b], coef[a:b], float(r["bias"])), float(r["c"]))
-        for r, a, b in zip(rounds, [0] + ends, ends)), pool.gamma
+    return tuple((PoolSvm(pool, sv[a:b], label[a:b], coef[a:b], float(bias[i])), float(c[i]))
+                 for i, (a, b) in enumerate(zip([0] + ends, ends))), pool.gamma
 
 
 @dataclass(eq=False)
@@ -366,9 +370,9 @@ def _round_signs(model: BoostModel, X: np.ndarray) -> np.ndarray:
     return np.stack(signs, axis=1) if signs else np.zeros((X.shape[0], 0))
 
 
-def predict_many(model: BoostModel, bags: Sequence[Bag]) -> List[LabelScores]:
+def predict_many(model: BoostModel, bags: Sequence[Bag]) -> LabelScores:
     """score(y) = sum_j sum_t c_t h_t(x_j, y); predicted = positive scores
-    (the literal rule: possibly empty).
+    (the literal rule: a row may be empty).
 
     All rounds and labels are scored over the stacked instances of all
     bags at once; the per-bag sign counts are exact integers and are
@@ -383,4 +387,4 @@ def predict_many(model: BoostModel, bags: Sequence[Bag]) -> List[LabelScores]:
     scores = np.zeros((len(bags), T))
     for r, (_, c) in enumerate(model.rounds):
         scores += c * counts[:, r * T:(r + 1) * T]
-    return [LabelScores(s, frozenset(np.flatnonzero(s > 0).tolist())) for s in scores]
+    return LabelScores(scores, scores > 0)

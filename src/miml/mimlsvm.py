@@ -17,7 +17,7 @@ import numpy as np
 
 from . import kernels
 from .bagdist import k_medoids_from_dists, pairwise_hausdorff
-from .core import Bag, MimlDataset, psi, require_valid
+from .core import Bag, MimlDataset, label_signs, require_valid
 from .kernels import KernelSpec
 from .metrics import LabelScores
 from .solvers import SvmDecision, train_ovr_svm
@@ -74,16 +74,17 @@ def _train_label_svms(Z: np.ndarray, label_sets, T: int, Cs: Sequence[float],
     """The per-label SVMs on Z for each C in Cs, all on one Gram of Z."""
     spec = KernelSpec("rbf", gamma if gamma is not None else 1.0 / Z.shape[1])
     gram = kernels.instance_gram(spec, Z)
-    Y = np.array([[float(psi(labels, t, T)) for t in range(T)] for labels in label_sets])
+    Y = label_signs(label_sets, T)
     return [train_ovr_svm(Z, Y, C, spec, gram=gram) for C in Cs]
 
 
-def tcriterion(scores: np.ndarray) -> frozenset:
-    """All labels with non-negative score, or the top label if none."""
-    pos = frozenset(int(i) for i in np.flatnonzero(scores >= 0))
-    if pos:
-        return pos
-    return frozenset({int(np.argmax(scores))})
+def tcriterion(S: np.ndarray) -> np.ndarray:
+    """Row-wise T-Criterion on (n, T) scores: every label with a
+    non-negative score, or the row's top label when it has none."""
+    P = S >= 0
+    empty = ~P.any(axis=1)
+    P[empty, np.argmax(S[empty], axis=1)] = True
+    return P
 
 
 def fit(ds: MimlDataset, cfg: MimlSvmConfig = MimlSvmConfig()) -> MimlSvmModel:
@@ -134,20 +135,19 @@ def _holdout_C(ds: MimlDataset, cfg: MimlSvmConfig, D: np.ndarray):
     medoid_idx = list(clustering.medoid_indices)
     Z_sub = D_sub[:, medoid_idx]
     Z_hold = D[np.ix_(hold, sub[medoid_idx])]
-    hold_labels = [ds.label_sets()[i] for i in hold]
+    Y_hold = label_signs(ds.label_sets(), ds.T)[hold] > 0
 
     scores = {}
     label_svms = _train_label_svms(Z_sub, sub_ds.label_sets(), ds.T, _C_GRID, cfg.gamma)
     for C, svm in zip(_C_GRID, label_svms):
-        total = sum(len(tcriterion(s).symmetric_difference(y))
-                    for s, y in zip(svm.decision(Z_hold), hold_labels))
-        scores[C] = total / (len(hold) * ds.T)
+        errors = np.count_nonzero(tcriterion(svm.decision(Z_hold)) != Y_hold)
+        scores[C] = errors / (len(hold) * ds.T)
     best = min(_C_GRID, key=lambda C: (scores[C], C))
     return best, {"holdout_hamming": scores}
 
 
-def predict_many(model: MimlSvmModel, bags: Sequence[Bag]) -> List[LabelScores]:
+def predict_many(model: MimlSvmModel, bags: Sequence[Bag]) -> LabelScores:
     """T-Criterion prediction from per-label SVM scores on the distance
-    vectors; no returned set is empty."""
-    Z = pairwise_hausdorff(bags, model.medoids)
-    return [LabelScores(s, tcriterion(s)) for s in model.svm.decision(Z)]
+    vectors; no predicted row is empty."""
+    S = model.svm.decision(pairwise_hausdorff(bags, model.medoids))
+    return LabelScores(S, tcriterion(S))

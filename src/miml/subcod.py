@@ -21,7 +21,7 @@ turns pseudo-label vectors back into the original class.
 """
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -350,19 +350,15 @@ def fit(ds: MimlDataset, cfg: SubCodConfig = SubCodConfig()) -> SubCodModel:
     )
 
 
-def predict_many(model: SubCodModel, bags: Sequence[Bag]) -> List[LabelScores]:
-    """Score view for the evaluation harness: the inner MIML predictions,
-    thresholded to +-1 vectors over the sub-concepts, scored by every
-    mapper output; the single predicted class is the mapper argmax.  Scores
-    cover the model's T labels, and a label no training example held
-    scores below every class."""
-    pseudo = -np.ones((len(bags), model.inner.T))
-    for row, inner in zip(pseudo, mimlsvm_predict_many(model.inner, bags)):
-        row[list(inner.predicted)] = 1.0
-    classes = list(model.mapper_classes)
-    out = []
-    for v in model.mapper.decision(pseudo):
-        scores = np.full(model.T, v.min() - 1.0)
-        scores[classes] = v
-        out.append(LabelScores(scores, {classes[int(np.argmax(v))]}))
-    return out
+def predict_many(model: SubCodModel, bags: Sequence[Bag]) -> LabelScores:
+    """Score view for the evaluation harness: the inner MIML predictions as
+    +-1 vectors over the sub-concepts, scored by every mapper output; the
+    single predicted class is the mapper argmax.  Scores cover the model's
+    T labels, and a label no training example held scores below every
+    class."""
+    pseudo = np.where(mimlsvm_predict_many(model.inner, bags).predicted, 1.0, -1.0)
+    V = model.mapper.decision(pseudo)
+    classes = np.array(model.mapper_classes)
+    S = np.repeat(V.min(axis=1, keepdims=True) - 1.0, model.T, axis=1)
+    S[:, classes] = V
+    return LabelScores(S, np.arange(model.T) == classes[np.argmax(V, axis=1)][:, None])

@@ -123,7 +123,7 @@ def test_criterion_4_mimlboost():
             part = mimlboost.BoostModel(rounds=model.rounds[:rounds_used],
                                         T=ds.T, d=ds.d, config=cfg)
             preds = mimlboost.predict_many(part, ds.bags())
-            return compute_report(preds, ds.label_sets(), ds.T).hamming_loss
+            return compute_report([preds], ds.label_sets(), ds.T).hamming_loss
 
         if len(model.rounds) >= 1:
             first = train_hamming(1)
@@ -138,7 +138,7 @@ def test_criterion_5_mimlsvm_protocol():
     rng = np.random.default_rng(505)
     for _ in range(10000):
         scores = rng.normal(size=int(rng.integers(1, 8)))
-        assert len(mimlsvm.tcriterion(scores)) >= 1
+        assert mimlsvm.tcriterion(scores[None, :]).any()
 
     spec = SynthSpec(T=4, d=6, m=200, n_min=2, n_max=5, label_prob=0.35,
                      spread=0.45, seed=13)

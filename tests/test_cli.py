@@ -557,6 +557,55 @@ def test_malformed_mimlboost_payload_is_data_error(edit, message, tmp_path, caps
     assert "bad mimlboost model payload" in err and message in err
 
 
+def _eval_with_literal(tmp_path, algo, place, literal):
+    """``miml eval`` of a trained ``algo`` model whose number at
+    ``place(payload) -> (container, key)`` is written as ``literal``."""
+    shape, m, config = _GOLDEN_SETUP[algo]
+    data = _synth(tmp_path, "data", shape + f"m={m}\nseed=3\n")
+    model = _train(tmp_path, algo, data, config)
+    head, _, body = model.read_text().partition("\n")
+    envelope = json.loads(body)
+    container, key = place(envelope["payload"])
+    assert isinstance(container[key], (int, float))
+    container[key] = "@"
+    model.write_text(head + "\n" + json.dumps(envelope).replace('"@"', literal) + "\n")
+    return _run(["eval", "--model", str(model), "--data", str(data)])
+
+
+# a number of each learner's model file that its scores depend on
+_SCORED_NUMBER = {
+    "mimlboost": lambda p: (p["rounds"][0], "bias"),
+    "mimlsvm": lambda p: (p["svm"]["bias"], 0),
+    "dmimlsvm": lambda p: (p["biases"], 0),
+    "insdif": lambda p: (p["W"][0], 0),
+    "subcod": lambda p: (p["mapper"]["bias"], 0),
+}
+
+
+@pytest.mark.parametrize("algo,literal", [(algo, "NaN") for algo in sorted(_SCORED_NUMBER)]
+                         + [("mimlboost", "Infinity"), ("mimlboost", "-Infinity")])
+def test_non_finite_constant_in_model_is_data_error(algo, literal, tmp_path, capsys):
+    code, text = _eval_with_literal(tmp_path, algo, _SCORED_NUMBER[algo], literal)
+    assert code == 2 and text == ""
+    assert f"line 2: non-finite number {literal} in model body" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("place", [
+    lambda p: (p["rounds"][0]["coef"], 0),
+    lambda p: (p["rounds"][0], "bias"),
+    lambda p: (p["rounds"][0], "c"),
+    lambda p: (p["pool"][0], 0),
+    lambda p: (p, "gamma"),
+], ids=["coef", "bias", "c", "pool", "gamma"])
+def test_overflowing_mimlboost_number_is_data_error(place, tmp_path, capsys):
+    """1e999 parses as an infinite float; the weak SVMs' sign step would
+    turn its non-finite decisions into finite scores."""
+    code, text = _eval_with_literal(tmp_path, "mimlboost", place, "1e999")
+    assert code == 2 and text == ""
+    err = capsys.readouterr().err
+    assert "bad mimlboost model payload" in err and "must be finite" in err
+
+
 def _old_multi_svm_layout(key, old_key):
     """An edit that writes ``key``'s decision as the per-output list the
     multi-output decision replaced."""

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from miml.core import Bag, MimlDataset, psi, validate_dataset
+from miml.core import Bag, MimlDataset, label_signs, psi, validate_dataset
 
 from conftest import random_dataset
 
@@ -28,6 +28,17 @@ def test_psi_exhaustive_small_T():
             L = frozenset(i for i in range(T) if bits[i])
             for y in range(T):
                 assert psi(L, y, T) == (1 if y in L else -1)
+
+
+def test_label_signs_equal_psi_on_random_sets(rng):
+    for _ in range(200):
+        T = int(rng.integers(1, 10))
+        sets = [frozenset(rng.choice(T, size=int(rng.integers(0, T + 1)), replace=False).tolist())
+                for _ in range(int(rng.integers(0, 8)))]
+        Y = label_signs(sets, T)
+        want = np.array([[float(psi(L, y, T)) for y in range(T)] for L in sets],
+                        dtype=np.float64).reshape(len(sets), T)
+        assert Y.dtype == np.float64 and Y.tobytes() == want.tobytes()
 
 
 def test_validate_well_formed():

@@ -295,8 +295,7 @@ def test_predict_training_bag_matches_expansion(rng):
     model = fit(ds, DMimlConfig(gamma=10.0, seed=0, cccp_max_iters=3))
     gram = build_gram(model.kernel, ds)
     g = gram.values @ model.A + model.biases[None, :]
-    for i, ls in enumerate(predict_many(model, ds.bags())):
-        assert np.allclose(ls.scores, g[i], atol=1e-10)
+    assert np.allclose(predict_many(model, ds.bags()).scores, g[:ds.m], atol=1e-10)
 
 
 def test_predict_constant_bias_label():
@@ -306,8 +305,8 @@ def test_predict_constant_bias_label():
     model = DMimlSvmModel(A=np.zeros((2, 2)), biases=model_bias,
                           kernel=KernelSpec("rbf", 1.0),
                           train_bags=ds.bags(), tau=None)
-    (ls,) = predict_many(model, [Bag("q", [[5.0]])])
-    assert ls.predicted == frozenset({0})
+    ls = predict_many(model, [Bag("q", [[5.0]])])
+    assert ls.predicted.tolist() == [[True, False]]
 
 
 def test_t1_singleton_agrees_with_plain_svm(rng):
@@ -335,9 +334,7 @@ def test_t1_singleton_agrees_with_plain_svm(rng):
     alpha, bias, _ = smo_solve(K, y, (gamma_reg / m) * np.ones(m), tol=1e-8)
     test_pts = rng.normal(size=(60, 2)) * 2.0
     svm_scores = (alpha * y) @ instance_gram(spec, X, test_pts) + bias
-    dm_scores = np.array([
-        ls.scores[0] for ls in predict_many(model, [Bag("q", p[None, :]) for p in test_pts])
-    ])
+    dm_scores = predict_many(model, [Bag("q", p[None, :]) for p in test_pts]).scores[:, 0]
     agree = np.mean(np.sign(svm_scores) == np.sign(dm_scores))
     assert agree >= 0.95
 
@@ -355,8 +352,7 @@ def test_fit_with_imbalance_flag(rng):
     hist = model.history["objective"]
     for a, b in zip(hist, hist[1:]):
         assert b <= a + 1e-8
-    (ls,) = predict_many(model, ds.bags()[:1])
-    assert len(ls.predicted) >= 1
+    assert predict_many(model, ds.bags()[:1]).predicted.any()
 
 
 def test_imbalance_objective_variant(rng):

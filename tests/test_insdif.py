@@ -79,8 +79,8 @@ def test_interpolation_reproduces_targets(rng):
         out = Phi @ model.W
         assert np.allclose(out, model.history["targets"], atol=1e-6)
         # training examples get their own labels back
-        for ls, labels in zip(predict_many(model, ds.bags()), ds.label_sets()):
-            assert ls.predicted == labels
+        labels = [[l in y for l in range(ds.T)] for y in ds.label_sets()]
+        assert np.array_equal(predict_many(model, ds.bags()).predicted, labels)
 
 
 def test_sum_of_squares_local_optimality(rng):
@@ -98,24 +98,44 @@ def test_predict_zero_weights_empty_and_fallback(rng):
     model = fit(ds, InsDifConfig(seed=0))
     zero = InsDifModel(prototypes=model.prototypes, medoids=model.medoids,
                        W=np.zeros_like(model.W), fallback=False)
-    (ls,) = predict_many(zero, [Bag("q", rng.normal(size=(1, ds.d)))])
-    assert np.all(ls.scores == 0.0) and ls.predicted == frozenset()
+    ls = predict_many(zero, [Bag("q", rng.normal(size=(1, ds.d)))])
+    assert np.all(ls.scores == 0.0) and not ls.predicted.any()
     with_fb = InsDifModel(prototypes=model.prototypes, medoids=model.medoids,
                           W=np.zeros_like(model.W), fallback=True)
-    (ls,) = predict_many(with_fb, [Bag("q", rng.normal(size=(1, ds.d)))])
-    assert len(ls.predicted) >= 1
+    ls = predict_many(with_fb, [Bag("q", rng.normal(size=(1, ds.d)))])
+    assert ls.predicted.all()   # T-criterion on all-zero scores: every label
+
+
+def test_fallback_fills_only_empty_rows(rng):
+    """With the fallback flag, a row with no positive score gets the
+    T-criterion set (its non-negative labels, or else its top label);
+    every other row keeps its positive labels."""
+    ds = _single_instance_ds(rng, m=10)
+    model = fit(ds, InsDifConfig(M=2, seed=0))
+    # score_l = d(q, C_0) - w_l d(q, C_1): a row is empty near C_0
+    W = np.array([[1.0, 1.0, 1.0], [-1.0, -1.2, -0.8]])
+    bags = [Bag(f"q{i}", rng.normal(size=(1, ds.d))) for i in range(200)]
+    plain, with_fb = (predict_many(InsDifModel(model.prototypes, model.medoids, W, fb), bags)
+                      for fb in (False, True))
+    assert np.array_equal(plain.scores, with_fb.scores)
+    empty = ~plain.predicted.any(axis=1)
+    assert 0 < empty.sum() < len(empty)
+    assert np.array_equal(with_fb.predicted[~empty], plain.predicted[~empty])
+    for s, row in zip(with_fb.scores[empty], with_fb.predicted[empty]):
+        expected = {l for l in range(ds.T) if s[l] >= 0} or {int(np.argmax(s))}
+        assert set(np.flatnonzero(row).tolist()) == expected
 
 
 def test_predict_matches_weighted_sum_oracle(rng):
     ds = _single_instance_ds(rng, m=8)
     model = fit(ds, InsDifConfig(seed=2))
     x = rng.normal(size=ds.d)
-    (ls,) = predict_many(model, [Bag("q", x[None, :])])
+    (scores,) = predict_many(model, [Bag("q", x[None, :])]).scores
     bag = instance_to_bag(x, model.prototypes)
     for l in range(ds.T):
         acc = sum(model.W[j, l] * hausdorff(bag, model.medoids[j])
                   for j in range(model.M))
-        assert ls.scores[l] == pytest.approx(acc, abs=1e-10)
+        assert scores[l] == pytest.approx(acc, abs=1e-10)
 
 
 def test_rejects_multi_instance_bags(rng):

@@ -1,5 +1,9 @@
 """Oracle tests for the seven criteria: every metric is checked against an
-independent brute-force enumeration on random score/label configurations."""
+independent brute-force enumeration on random score/label configurations.
+The oracle reads each example's scores and predicted label set from the
+rows of the ``LabelScores`` blocks the metrics take."""
+
+import re
 
 import numpy as np
 import pytest
@@ -28,16 +32,41 @@ def oracle_ranks(scores):
     return ranks
 
 
+def block(rows):
+    """One LabelScores block from (scores, predicted label set) rows."""
+    S = np.array([scores for scores, _ in rows], dtype=np.float64)
+    P = np.zeros(S.shape, dtype=bool)
+    for i, (_, predicted) in enumerate(rows):
+        P[i, list(predicted)] = True
+    return LabelScores(S, P)
+
+
+def as_blocks(rows):
+    """The rows as consecutive blocks of 1, 2, 3, ... rows."""
+    out, start = [], 0
+    while start < len(rows):
+        out.append(block(rows[start:start + len(out) + 1]))
+        start += len(out)
+    return out
+
+
+def oracle_rows(preds):
+    """(scores, predicted label set) of every example, in block order."""
+    return [(list(s), frozenset(np.flatnonzero(row).tolist()))
+            for p in preds for s, row in zip(p.scores, p.predicted)]
+
+
 def oracle_report(preds, truth, T):
-    p = len(preds)
-    h = sum(len(pr.predicted ^ y) for pr, y in zip(preds, truth)) / (p * T)
+    rows = oracle_rows(preds)
+    p = len(rows)
+    h = sum(len(predicted ^ y) for (_, predicted), y in zip(rows, truth)) / (p * T)
     one = 0.0
     cov = 0.0
     rl = 0.0
     ap = 0.0
     ar = 0.0
-    for pr, y in zip(preds, truth):
-        ranks = oracle_ranks(list(pr.scores))
+    for (scores, predicted), y in zip(rows, truth):
+        ranks = oracle_ranks(scores)
         top = ranks.index(1)
         one += top not in y
         cov += max(ranks[l] for l in y) - 1
@@ -45,7 +74,7 @@ def oracle_report(preds, truth, T):
         bad = 0
         for y1 in y:
             for y2 in comp:
-                if pr.scores[y1] <= pr.scores[y2]:
+                if scores[y1] <= scores[y2]:
                     bad += 1
         rl += bad / (len(y) * len(comp))
         acc = 0.0
@@ -53,12 +82,12 @@ def oracle_report(preds, truth, T):
             above = sum(1 for l2 in y if ranks[l2] <= ranks[l])
             acc += above / ranks[l]
         ap += acc / len(y)
-        ar += sum(1 for l in y if ranks[l] <= len(pr.predicted)) / len(y)
+        ar += sum(1 for l in y if ranks[l] <= len(predicted)) / len(y)
     return (h, one / p, cov / p, rl / p, ap / p, ar / p)
 
 
 def random_case(rng, T, p):
-    preds, truth = [], []
+    rows, truth = [], []
     for _ in range(p):
         scores = rng.normal(size=T)
         if rng.random() < 0.3:  # inject ties
@@ -67,9 +96,9 @@ def random_case(rng, T, p):
         predicted = frozenset(int(v) for v in rng.choice(T, size=pred_size, replace=False))
         tsize = int(rng.integers(1, T))
         y = frozenset(int(v) for v in rng.choice(T, size=tsize, replace=False))
-        preds.append(LabelScores(scores, predicted))
+        rows.append((scores, predicted))
         truth.append(y)
-    return preds, truth
+    return as_blocks(rows), truth
 
 
 # ----------------------------------------------------------------- tests
@@ -89,42 +118,40 @@ def test_rank_matches_sort_oracle(rng):
 
 
 def test_hamming_examples():
-    ls = lambda sc, pr: LabelScores(np.asarray(sc, float), frozenset(pr))
-    preds = [ls([1.0, 0.0, 0, 0, 0], {0})]
+    preds = [block([([1.0, 0.0, 0, 0, 0], {0})])]
     assert hamming_loss(preds, [frozenset({1})], 5) == pytest.approx(0.4)
     assert hamming_loss(preds, [frozenset({0})], 5) == 0.0
 
 
 def test_one_error_examples():
-    ls = lambda sc, pr: LabelScores(np.asarray(sc, float), frozenset(pr))
-    preds = [ls([1.0, 0.0], {0}), ls([1.0, 0.0], {0})]
+    preds = [block([([1.0, 0.0], {0}), ([1.0, 0.0], {0})])]
     truth = [frozenset({0}), frozenset({1})]
     assert one_error(preds, truth) == pytest.approx(0.5)
 
 
 def test_coverage_example():
     # proper labels ranked 1 and 3 contribute max-rank - 1 = 2
-    ls = LabelScores(np.array([3.0, 1.0, 2.0]), frozenset({0}))
+    ls = block([([3.0, 1.0, 2.0], {0})])
     assert coverage([ls], [frozenset({0, 1})]) == pytest.approx(2.0)
 
 
 def test_rloss_tie_counts_full():
-    ls = LabelScores(np.array([0.5, 0.5]), frozenset({0}))
+    ls = block([([0.5, 0.5], {0})])
     assert ranking_loss([ls], [frozenset({0})], 2) == pytest.approx(1.0)
 
 
 def test_rloss_perfect_separation():
-    ls = LabelScores(np.array([2.0, 1.9, -1.0]), frozenset({0, 1}))
+    ls = block([([2.0, 1.9, -1.0], {0, 1})])
     assert ranking_loss([ls], [frozenset({0, 1})], 3) == 0.0
 
 
 def test_avgprec_example():
-    ls = LabelScores(np.array([3.0, 1.0, 2.0]), frozenset({0}))
+    ls = block([([3.0, 1.0, 2.0], {0})])
     assert average_precision([ls], [frozenset({0, 1})]) == pytest.approx(5.0 / 6.0)
 
 
 def test_avgrecl_empty_prediction_is_zero():
-    ls = LabelScores(np.array([3.0, 1.0, 2.0]), frozenset())
+    ls = block([([3.0, 1.0, 2.0], set())])
     assert average_recall([ls], [frozenset({0})]) == 0.0
 
 
@@ -158,16 +185,16 @@ def test_report_equals_loop_values_t12_with_ties():
     # average-precision terms in ascending label order, or the examples by
     # np.sum, changes the last bit of avg_precision.
     rng = np.random.default_rng(35)
-    preds, truth = [], []
+    rows, truth = [], []
     for _ in range(60):
         scores = np.round(rng.normal(size=12) * 2.0) / 2.0   # many ties
         predicted = frozenset(int(v) for v in rng.choice(
             12, size=int(rng.integers(0, 13)), replace=False))
         truth.append(frozenset(int(v) for v in rng.choice(
             12, size=int(rng.integers(1, 12)), replace=False)))
-        preds.append(LabelScores(scores, predicted))
+        rows.append((scores, predicted))
     assert list(truth[4]) == [8, 1, 2, 3]
-    rep = compute_report(preds, truth, 12)
+    rep = compute_report(as_blocks(rows), truth, 12)
     assert rep.values() == (
         0.5, 0.5666666666666667, 9.65, 0.5838481040564376,
         0.5558204292851207, 0.5417231842231842, 0.5486812717103098)
@@ -177,14 +204,14 @@ def test_perfect_predictions(rng):
     for _ in range(20):
         T = int(rng.integers(2, 7))
         p = int(rng.integers(1, 8))
-        preds, truth = [], []
+        rows, truth = [], []
         for _ in range(p):
             tsize = int(rng.integers(1, T))
             y = frozenset(int(v) for v in rng.choice(T, size=tsize, replace=False))
             scores = np.array([1.0 if l in y else -1.0 for l in range(T)])
-            preds.append(LabelScores(scores, y))
+            rows.append((scores, y))
             truth.append(y)
-        rep = compute_report(preds, truth, T)
+        rep = compute_report(as_blocks(rows), truth, T)
         assert rep.hamming_loss == 0
         assert rep.one_error == 0
         assert rep.ranking_loss == 0
@@ -214,8 +241,32 @@ def test_monotone_transform_invariance(rng):
 
 
 def test_degenerate_truth_rejected():
-    ls = LabelScores(np.array([1.0, 0.0]), frozenset({0}))
+    ls = block([([1.0, 0.0], {0})])
     with pytest.raises(ValueError):
         ranking_loss([ls], [frozenset({0, 1})], 2)  # |Y| = T
     with pytest.raises(ValueError):
         one_error([ls], [frozenset()])
+
+
+@pytest.mark.parametrize("scores,predicted,message", [
+    ([[1.0, np.nan]], [[True, False]], "finite"),
+    ([[1.0, np.inf], [0.0, 1.0]], [[True, False], [False, True]], "finite"),
+    ([1.0, 0.0], [True, False], "(n, T)"),
+    ([[1.0, 0.0]], [[True, False, False]], "(n, T)"),
+])
+def test_malformed_block_rejected(scores, predicted, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        LabelScores(np.array(scores), np.array(predicted))
+
+
+def test_blocks_are_checked_against_truth_and_t():
+    preds = [block([([1.0, 0.0], {0})]), block([([0.0, 1.0], {1}), ([2.0, 1.0], {0})])]
+    truth = [frozenset({0}), frozenset({1}), frozenset({1})]
+    assert compute_report(preds, truth, 2) == compute_report(
+        [block(oracle_rows(preds))], truth, 2)
+    with pytest.raises(ValueError, match="expected T=3"):
+        compute_report(preds, truth, 3)
+    with pytest.raises(ValueError, match="3 predictions for 2 truth sets"):
+        compute_report(preds, truth[:2], 2)
+    with pytest.raises(ValueError, match="truth label index out of range"):
+        compute_report(preds, truth[:2] + [frozenset({2})], 2)

@@ -145,9 +145,9 @@ def test_predict_score_is_n_star_for_constant_learner():
         T=1, d=1)
     model = fit(ds, BoostConfig(rounds=1, base="stump", c_cap=1.0))
     bag = Bag("q", [[0.3], [0.4], [0.5]])
-    (ls,) = predict_many(model, [bag])
-    assert ls.scores[0] == pytest.approx(3.0)  # c=1 cap, h=+1 on all 3 instances
-    assert ls.predicted == frozenset({0})
+    ls = predict_many(model, [bag])
+    assert ls.scores[0, 0] == pytest.approx(3.0)  # c=1 cap, h=+1 on all 3 instances
+    assert ls.predicted.tolist() == [[True]]
 
 
 def test_predict_empty_when_all_scores_nonpositive():
@@ -155,9 +155,9 @@ def test_predict_empty_when_all_scores_nonpositive():
     # x > +inf is never true, so prediction is -polarity = +1; flip polarity
     weak = Stump(feature=0, threshold=float("-inf"), polarity=-1)  # always -1
     model = BoostModel(rounds=((weak, 2.0),), T=2, d=1, config=BoostConfig())
-    (ls,) = predict_many(model, [Bag("q", [[1.0], [2.0]])])
+    ls = predict_many(model, [Bag("q", [[1.0], [2.0]])])
     assert np.all(ls.scores < 0)
-    assert ls.predicted == frozenset()
+    assert ls.predicted.tolist() == [[False, False]]
 
 
 def test_predict_matches_double_sum_oracle(rng):
@@ -166,14 +166,14 @@ def test_predict_matches_double_sum_oracle(rng):
     assert model.rounds
     from miml.mimlboost import _augment
     bag = Bag("q", rng.normal(size=(3, 2)))
-    (ls,) = predict_many(model, [bag])
+    (scores,) = predict_many(model, [bag]).scores
     for v in range(3):
         acc = 0.0
         for j in range(bag.size):
             for weak, c in model.rounds:
                 row = _augment(bag.feats[j][None, :], v, 3)
                 acc += c * float(weak.predict_sign(row)[0])
-        assert ls.scores[v] == pytest.approx(acc, abs=1e-10)
+        assert scores[v] == pytest.approx(acc, abs=1e-10)
 
 
 def _svm_model(seed=3, rounds=25):
@@ -203,11 +203,12 @@ def test_pool_matches_per_round_reference(seed, rng):
     clear = np.add.reduceat(tie.any(axis=1), offsets[:-1]) == 0
     assert clear.mean() > 0.9
     want = reference_scores(model, ref_signs, offsets)
-    preds = cli.predict_blocks("mimlboost", model, bags)
-    for ls, w, ok in zip(preds, want, clear):
-        if ok:
-            assert np.array_equal(ls.scores, w)
-            assert ls.predicted == frozenset(np.flatnonzero(w > 0).tolist())
+    blocks = cli.predict_blocks("mimlboost", model, bags)
+    assert [len(b.scores) for b in blocks] == [cli.EVAL_BLOCK, 45]
+    S = np.concatenate([b.scores for b in blocks])
+    P = np.concatenate([b.predicted for b in blocks])
+    assert np.array_equal(S[clear], want[clear])
+    assert np.array_equal(P[clear], want[clear] > 0)
 
 
 def test_svm_round_errors_match_pool_scorer():
@@ -241,5 +242,6 @@ def test_svm_payload_round_trip(rounds):
         assert pool.X.shape[0] == np.unique(pool.X, axis=0).shape[0]
         assert pool.X.shape[0] < sum(w.sv.size for w, _ in model.rounds)
     bags = ds.bags()
-    for a, b in zip(predict_many(model, bags), predict_many(back, bags)):
-        assert np.array_equal(a.scores, b.scores)
+    a, b = predict_many(model, bags), predict_many(back, bags)
+    assert np.array_equal(a.scores, b.scores)
+    assert np.array_equal(a.predicted, b.predicted)

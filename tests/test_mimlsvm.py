@@ -25,17 +25,47 @@ def test_medoid_distances_against_per_medoid_oracle(rng):
     assert pairwise_hausdorff([bag], [bag])[0, 0] == 0.0
 
 
+def tcriterion_set(scores):
+    """The per-row set form of the T-Criterion: every label with a
+    non-negative score, or the top label if none."""
+    pos = frozenset(int(i) for i in np.flatnonzero(scores >= 0))
+    if pos:
+        return pos
+    return frozenset({int(np.argmax(scores))})
+
+
+def tcriterion_sets(S):
+    """The rows of ``tcriterion(S)`` as label sets."""
+    return [frozenset(np.flatnonzero(row).tolist()) for row in tcriterion(np.asarray(S))]
+
+
 def test_tcriterion_rules():
-    assert tcriterion(np.array([0.5, -0.2])) == frozenset({0})
-    assert tcriterion(np.array([-3.0, -1.0, -0.4])) == frozenset({2})
-    assert tcriterion(np.array([0.1, 0.2])) == frozenset({0, 1})
-    assert tcriterion(np.array([0.0, -1.0])) == frozenset({0})  # >= 0 as printed
+    assert tcriterion_sets([[0.5, -0.2],
+                            [0.1, 0.2],
+                            [0.0, -1.0],     # >= 0 as printed
+                            [-1.0, -1.0]]    # the first top label
+                           ) == [frozenset({0}), frozenset({0, 1}), frozenset({0}),
+                                 frozenset({0})]
+    assert tcriterion_sets([[-3.0, -1.0, -0.4]]) == [frozenset({2})]
+    assert tcriterion(np.zeros((0, 3))).shape == (0, 3)
 
 
 def test_tcriterion_never_empty(rng):
     for _ in range(1000):
         scores = rng.normal(size=int(rng.integers(1, 6)))
-        assert len(tcriterion(scores)) >= 1
+        assert tcriterion(scores[None, :]).any()
+
+
+@pytest.mark.parametrize("kind", ["random", "all_negative", "exact_zeros"])
+def test_tcriterion_matches_set_oracle(kind, rng):
+    """The row-wise rule equals the per-row set form on every row."""
+    for _ in range(50):
+        S = rng.normal(size=(int(rng.integers(1, 20)), int(rng.integers(1, 7))))
+        if kind == "all_negative":
+            S = -np.abs(S)
+        elif kind == "exact_zeros":
+            S = np.where(rng.random(S.shape) < 0.3, 0.0, -np.abs(S))
+        assert tcriterion_sets(S) == [tcriterion_set(row) for row in S]
 
 
 def test_fit_structure_and_membership_signs(rng):
@@ -45,9 +75,9 @@ def test_fit_structure_and_membership_signs(rng):
     assert model.svm.vectors.shape[1] == model.k
     assert 1 <= model.k <= ds.m
     assert len(model.medoids) == model.k
-    (ls,) = predict_many(model, ds.bags()[:1])
-    assert len(ls.predicted) >= 1
-    assert ls.scores.shape == (3,)
+    ls = predict_many(model, ds.bags()[:1])
+    assert ls.predicted.any()
+    assert ls.scores.shape == (1, 3)
 
 
 def test_separable_training_hamming(rng):
@@ -56,7 +86,7 @@ def test_separable_training_hamming(rng):
     ds, _ = generate(spec)
     model = fit(ds, MimlSvmConfig(k=ds.m, C=10.0, seed=0))  # k = m
     preds = predict_many(model, ds.bags())
-    rep = compute_report(preds, ds.label_sets(), ds.T)
+    rep = compute_report([preds], ds.label_sets(), ds.T)
     assert rep.hamming_loss < 0.1
 
 
@@ -66,7 +96,7 @@ def test_fit_deterministic(rng):
     m2 = fit(ds, MimlSvmConfig(C=1.0, seed=3))
     assert m1.to_payload() == m2.to_payload()
     b = random_bag(rng, 2, ident="q")
-    (p1,), (p2,) = predict_many(m1, [b]), predict_many(m2, [b])
+    p1, p2 = predict_many(m1, [b]), predict_many(m2, [b])
     assert np.array_equal(p1.scores, p2.scores)
 
 
@@ -125,7 +155,8 @@ def reference_holdout_C(ds, cfg, D):
         spec, svms = reference_label_svms(D[np.ix_(sub, medoids)], [labels[i] for i in sub],
                                           ds.T, C, cfg.gamma)
         S = reference_scores(spec, svms, D[np.ix_(hold, medoids)])
-        total = sum(len(tcriterion(s).symmetric_difference(labels[i])) for s, i in zip(S, hold))
+        total = sum(len(tcriterion_set(s).symmetric_difference(labels[i]))
+                    for s, i in zip(S, hold))
         scores[C] = total / (len(hold) * ds.T)
     return min(scores, key=lambda C: (scores[C], C)), {"holdout_hamming": scores}
 
@@ -160,5 +191,5 @@ def test_label_svms_match_per_label_reference(seed):
     Q = pairwise_hausdorff(bags, model.medoids)
     ref = reference_scores(spec, svms, Q)
     scale = np.array([np.abs(a).sum() + abs(b) for _, a, b in svms])
-    got = np.array([ls.scores for ls in predict_many(model, bags)])
+    got = predict_many(model, bags).scores
     assert np.all(np.abs(got - ref) <= 1e-12 * scale)

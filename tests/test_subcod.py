@@ -192,8 +192,7 @@ def test_fit_m1_predicts_majority(rng):
     ds = MimlDataset(tuple(examples), T=2, d=2)
     model = fit(ds, SubCodConfig(M=1, seed=0))
     assert np.all(model.history["c_tilde"] == 1.0)
-    for ls in predict_many(model, ds.bags()):
-        assert ls.predicted == {0}
+    assert predict_many(model, ds.bags()).predicted.tolist() == [[True, False]] * ds.m
 
 
 def test_fit_deterministic_and_predicts(rng):
@@ -204,11 +203,11 @@ def test_fit_deterministic_and_predicts(rng):
     # the fitted GMM and polished vectors stay out of the payload
     assert _gmm_bits(m1.history["gmm"]) == _gmm_bits(m2.history["gmm"])
     assert m1.history["c_tilde"].tobytes() == m2.history["c_tilde"].tobytes()
-    correct = sum(ls.predicted == labels
-                  for ls, labels in zip(predict_many(m1, ds.bags()), ds.label_sets()))
+    P = predict_many(m1, ds.bags()).predicted
+    assert np.all(P.sum(axis=1) == 1)
+    correct = sum(frozenset(np.flatnonzero(row).tolist()) == labels
+                  for row, labels in zip(P, ds.label_sets()))
     assert correct >= 0.9 * ds.m  # separable training data
-    (ls,) = predict_many(m1, ds.bags()[:1])
-    assert len(ls.predicted) == 1
 
 
 @pytest.mark.parametrize("seed", [1, 2])
@@ -236,8 +235,8 @@ def test_scores_every_label_of_the_training_file(rng):
     two = _mil_binary_ds(rng, m=12)
     model = fit(MimlDataset(two.examples, T=3, d=two.d), SubCodConfig(M=2, seed=0))
     assert model.T == 3 and model.mapper_classes == (0, 1)
-    for ls in predict_many(model, two.bags()):
-        assert ls.scores.shape == (3,) and ls.scores[2] < ls.scores[:2].min()
+    S = predict_many(model, two.bags()).scores
+    assert S.shape == (two.m, 3) and np.all(S[:, 2] < S[:, :2].min(axis=1))
 
 
 def test_fit_recovers_planted_subconcepts(rng):
@@ -259,7 +258,7 @@ def test_small_fit_beats_the_label_prior():
     train, _ = bench.generate(bench.SynthSpec(m=12, seed=203407, **shape))
     test, _ = bench.generate(bench.SynthSpec(m=500, seed=203499, **shape))
     model, _ = cli.fit_with_config("subcod", train, {})
-    got = compute_report(predict_many(model, test.bags()), test.label_sets(), test.T)
+    got = compute_report([predict_many(model, test.bags())], test.label_sets(), test.T)
     prior = bench.fit_prior(train)
     base = compute_report([prior.predict(b) for b in test.bags()], test.label_sets(), test.T)
     assert got.ranking_loss < base.ranking_loss
