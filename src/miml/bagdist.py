@@ -8,41 +8,26 @@ changing.
 """
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from ._dist import pairwise_sq_hausdorff
-from .core import Bag
+from .core import Bags
 
 
-def stack_bags(bags: Sequence[Bag]):
-    """Concatenate bag instances into (X, offsets) for the distance kernel."""
-    if not bags:
-        raise ValueError("need at least one bag")
-    feats = [b.feats for b in bags]
-    d = feats[0].shape[1]
-    if any(f.shape[1] != d for f in feats):
-        raise ValueError("dimension mismatch between bags")
-    offsets = np.zeros(len(feats) + 1, dtype=np.int64)
-    np.cumsum([f.shape[0] for f in feats], out=offsets[1:])
-    return np.concatenate(feats), offsets
-
-
-def pairwise_hausdorff(bags_a: Sequence[Bag], bags_b: Sequence[Bag] = None) -> np.ndarray:
+def pairwise_hausdorff(bags_a: Bags, bags_b: Optional[Bags] = None) -> np.ndarray:
     """Full Hausdorff distance matrix between two bag collections.
 
     With one argument, returns the symmetric matrix over that collection
     (exactly symmetric, zero diagonal).
     """
-    xa, offa = stack_bags(bags_a)
     if bags_b is None:
-        sq = pairwise_sq_hausdorff(xa, offa)
+        sq = pairwise_sq_hausdorff(bags_a.X, bags_a.offsets)
     else:
-        xb, offb = stack_bags(bags_b)
-        if xa.shape[1] != xb.shape[1]:
+        if bags_a.X.shape[1] != bags_b.X.shape[1]:
             raise ValueError("dimension mismatch between collections")
-        sq = pairwise_sq_hausdorff(xa, offa, xb, offb)
+        sq = pairwise_sq_hausdorff(bags_a.X, bags_a.offsets, bags_b.X, bags_b.offsets)
     return np.sqrt(sq, out=sq)
 
 

@@ -14,7 +14,7 @@ from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
-from .core import Bag, MimlDataset, require_valid
+from .core import Bag, Bags, MimlDataset, label_matrix, require_valid
 from .metrics import LabelScores, MetricReport, compute_report
 
 # two-tailed 5% critical values of Student's t, df 1..60 (so the test needs
@@ -79,9 +79,9 @@ def generate(spec: SynthSpec) -> Tuple[MimlDataset, Tuple[Tuple[int, ...], ...]]
     rng = np.random.default_rng(spec.seed)
     means = label_means(spec)
     n_base = means.shape[0]
-    examples = []
+    rows, ends, label_sets = [], [0], []
     planted: List[Tuple[int, ...]] = []
-    for i in range(spec.m):
+    for _ in range(spec.m):
         while True:
             chosen = [l for l in range(n_base) if rng.random() < spec.label_prob]
             labels = set(chosen)
@@ -96,15 +96,16 @@ def generate(spec: SynthSpec) -> Tuple[MimlDataset, Tuple[Tuple[int, ...], ...]]
             sources = list(chosen)
             sources += [chosen[int(rng.integers(len(chosen)))]
                         for _ in range(n_i - len(chosen))]
-        rows = []
         for src in sources:
             x = means[src] + spec.spread * rng.normal(size=spec.d)
             if spec.noise > 0:
                 x = x + spec.noise * rng.normal(size=spec.d)
             rows.append(x)
-        examples.append((Bag(f"b{i}", np.asarray(rows)), frozenset(labels)))
+        ends.append(len(rows))
+        label_sets.append(labels)
         planted.append(tuple(sources))
-    ds = MimlDataset(tuple(examples), T=spec.T, d=spec.d)
+    bags = Bags([f"b{i}" for i in range(spec.m)], np.array(rows).reshape(-1, spec.d), ends)
+    ds = MimlDataset(bags, label_matrix(label_sets, spec.T))
     require_valid(ds)
     return ds, tuple(planted)
 
@@ -127,11 +128,7 @@ class PriorModel:
 
 
 def fit_prior(ds: MimlDataset) -> PriorModel:
-    freqs = np.zeros(ds.T)
-    for _, labels in ds.examples:
-        for y in labels:
-            freqs[y] += 1.0
-    return PriorModel(freqs / ds.m)
+    return PriorModel(np.count_nonzero(ds.Y, axis=0) / ds.m)
 
 
 # ------------------------------------------------------- split protocol

@@ -17,10 +17,11 @@ Config keys by learner (flat key=value files):
 
 eval and cv score bags only through ``predict_blocks``: one call of the
 learner's batch scorer ``(model, bags) -> LabelScores block`` per block of
-at most ``EVAL_BLOCK`` = 256 bags, so memory stays bounded by the block, and
-the metrics take the list of blocks.  For cv, ``make_fit_predict`` gives
-``bench.random_split_eval`` a ``fit_predict(train_ds, run_seed)`` that
-returns ``predict_blocks`` bound to the fitted model, ``bags -> [LabelScores]``.
+at most ``EVAL_BLOCK`` = 256 bags, each block a ``Bags`` view of the
+dataset's stacked instances (no copy), so memory stays bounded by the
+block, and the metrics take the list of blocks.  For cv, ``make_fit_predict``
+gives ``bench.random_split_eval`` a ``fit_predict(train_ds, run_seed)`` that
+returns ``predict_blocks`` bound to the fitted model, ``Bags -> [LabelScores]``.
 
 A key under the learner's own prefix that names no setting, or a key with
 no learner prefix, is a data error; keys under another learner's prefix are
@@ -35,10 +36,10 @@ import dataclasses
 import functools
 import sys
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence
+from typing import Callable, Dict, List
 
 from . import bench, dataio, dmimlsvm, insdif, metrics, mimlboost, mimlsvm, subcod
-from .core import Bag, MimlDataset
+from .core import Bags, MimlDataset
 from .solvers import SolverError
 
 
@@ -87,9 +88,9 @@ def fit_with_config(algo: str, ds: MimlDataset, cfg_map: Dict[str, str]):
     return entry.fit(ds, cfg), cfg
 
 
-def predict_blocks(algo: str, model, bags: Sequence[Bag]) -> List[metrics.LabelScores]:
+def predict_blocks(algo: str, model, bags: Bags) -> List[metrics.LabelScores]:
     """The ``LabelScores`` blocks of ``bags`` in order, one ``REGISTRY[algo].predict``
-    call per block of at most ``EVAL_BLOCK`` bags."""
+    call per block of at most ``EVAL_BLOCK`` bags, each a view of ``bags``."""
     predict = REGISTRY[algo].predict
     return [predict(model, bags[start:start + EVAL_BLOCK])
             for start in range(0, len(bags), EVAL_BLOCK)]

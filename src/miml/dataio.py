@@ -21,7 +21,7 @@ from typing import Collection, Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import Bag, MimlDataset, require_valid
+from .core import Bags, MimlDataset, label_matrix, require_valid
 
 DATASET_VERSION = "miml/1"
 MODEL_VERSION = "miml-model/1"
@@ -60,12 +60,12 @@ def serialize_dataset(ds: MimlDataset, label_names: Optional[Sequence[str]] = No
         raise ValueError("duplicate label names")
 
     lines = [f"{DATASET_VERSION} T={ds.T} d={ds.d}", "labels: " + " ".join(names)]
-    for bag, labels in ds.examples:
-        label_part = ",".join(names[i] for i in sorted(labels))
-        inst_part = " ; ".join(
-            " ".join(format_real(v) for v in row) for row in bag.feats
-        )
-        lines.append(f"{bag.id} | {label_part} | {inst_part}")
+    bags = ds.bags()
+    rows = [" ".join(map(format_real, row)) for row in bags.X.tolist()]
+    ends = bags.offsets.tolist()
+    for ident, labels, a, b in zip(bags.ids, ds.Y.tolist(), ends[:-1], ends[1:]):
+        label_part = ",".join(name for name, y in zip(names, labels) if y)
+        lines.append(f"{ident} | {label_part} | {' ; '.join(rows[a:b])}")
     return "\n".join(lines) + "\n"
 
 
@@ -83,6 +83,8 @@ def parse_dataset_with_names(text: str) -> Tuple[MimlDataset, Tuple[str, ...]]:
         d = int(head[2][2:])
     except ValueError:
         raise DataFormatError(1, f"malformed header fields {head[1]!r} {head[2]!r}") from None
+    if T < 1 or d < 1:
+        raise DataFormatError(1, f"T={T} and d={d} must be >= 1")
     if len(lines) < 2 or not lines[1].startswith("labels:"):
         raise DataFormatError(2, "expected 'labels: <name> ...'")
     names = tuple(lines[1][len("labels:"):].split())
@@ -92,7 +94,7 @@ def parse_dataset_with_names(text: str) -> Tuple[MimlDataset, Tuple[str, ...]]:
         raise DataFormatError(2, "duplicate label names")
     index = {name: i for i, name in enumerate(names)}
 
-    examples = []
+    ids, label_sets, ends, vals = [], [], [0], []
     for lineno, raw in enumerate(lines[2:], start=3):
         if not raw.strip():
             continue
@@ -110,21 +112,23 @@ def parse_dataset_with_names(text: str) -> Tuple[MimlDataset, Tuple[str, ...]]:
             if token not in index:
                 raise DataFormatError(lineno, f"unknown label {token!r}")
             labels.add(index[token])
-        rows = []
-        for chunk in parts[2].split(";"):
+        chunks = parts[2].split(";")
+        for chunk in chunks:
             fields = chunk.split()
             if not fields:
                 raise DataFormatError(lineno, "empty instance")
             try:
-                row = [float(f) for f in fields]
+                vals.extend(map(float, fields))
             except ValueError:
                 raise DataFormatError(lineno, f"non-numeric feature in {chunk.strip()!r}") from None
-            if len(row) != d:
-                raise DataFormatError(lineno, f"instance has {len(row)} features, expected d={d}")
-            rows.append(row)
-        examples.append((Bag(ident, np.asarray(rows)), frozenset(labels)))
+            if len(fields) != d:
+                raise DataFormatError(lineno, f"instance has {len(fields)} features, expected d={d}")
+        ends.append(ends[-1] + len(chunks))
+        ids.append(ident)
+        label_sets.append(labels)
 
-    ds = MimlDataset(tuple(examples), T=T, d=d)
+    X = np.array(vals, dtype=np.float64).reshape(len(vals) // d, d)
+    ds = MimlDataset(Bags(ids, X, ends), label_matrix(label_sets, T))
     require_valid(ds)
     return ds, names
 

@@ -27,7 +27,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import Bag, MimlDataset, label_signs, require_valid
+from .core import Bags, MimlDataset, label_signs, require_valid
 from .kernels import GramMatrix, KernelSpec, build_gram, kernel_against_objects
 from .metrics import LabelScores
 from .solvers import NumericalError
@@ -69,7 +69,7 @@ class DMimlSvmModel:
     A: np.ndarray                  # (m+n, T) expansion coefficients
     biases: np.ndarray             # (T,)
     kernel: KernelSpec
-    train_bags: Tuple[Bag, ...]
+    train_bags: Bags
     tau: Optional[np.ndarray]      # (m, T) rescaling weights or None
     history: dict = field(default_factory=dict, repr=False)
 
@@ -82,7 +82,7 @@ class DMimlSvmModel:
             "A": self.A.tolist(),
             "biases": self.biases.tolist(),
             "kernel": self.kernel.to_payload(),
-            "train_bags": [b.to_payload() for b in self.train_bags],
+            "train_bags": self.train_bags.to_payload(),
             "tau": None if self.tau is None else self.tau.tolist(),
         }
 
@@ -92,7 +92,7 @@ class DMimlSvmModel:
             A=np.asarray(p["A"], dtype=np.float64),
             biases=np.asarray(p["biases"], dtype=np.float64),
             kernel=KernelSpec.from_payload(p["kernel"]),
-            train_bags=tuple(Bag.from_payload(b) for b in p["train_bags"]),
+            train_bags=Bags.from_payload(p["train_bags"]),
             tau=None if p["tau"] is None else np.asarray(p["tau"], dtype=np.float64),
         )
 
@@ -101,13 +101,12 @@ class DMimlSvmModel:
 
 
 def compute_imbalance_rates(ds: MimlDataset) -> np.ndarray:
-    """ibr(y) = sum over bags containing y of n_i / (n |Y_i|); sums to 1."""
+    """ibr(y) = sum over bags containing y of n_i / (n |Y_i|); sums to 1.
+    Each label's terms are summed in example order."""
     require_valid(ds)
-    n_total = sum(bag.size for bag, _ in ds.examples)
-    ibr = np.zeros(ds.T)
-    for bag, labels in ds.examples:
-        for y in labels:
-            ibr[y] += bag.size / (n_total * len(labels))
+    sizes = ds.bags().sizes
+    share = sizes / (int(sizes.sum()) * np.count_nonzero(ds.Y, axis=1))
+    ibr = np.cumsum(np.where(ds.Y, share[:, None], 0.0), axis=0)[-1]
     absent = np.flatnonzero(ibr == 0)
     if absent.size:
         raise ValueError(f"labels with no positive example: {absent.tolist()}")
@@ -136,23 +135,16 @@ def objective_value(alphas: np.ndarray, xi: np.ndarray, delta: np.ndarray,
 def update_rho(inst_scores: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """Subgradient weights of the per-bag max: uniform over the achieving
     instances, zero elsewhere; each (bag, label) slice sums to 1."""
-    n, T = inst_scores.shape
-    rho = np.zeros((n, T))
-    for i in range(offsets.size - 1):
-        seg = inst_scores[offsets[i]:offsets[i + 1]]
-        mx = seg.max(axis=0)
-        tol = 1e-9 * np.maximum(1.0, np.abs(mx))
-        hit = seg >= (mx - tol)[None, :]
-        rho[offsets[i]:offsets[i + 1]] = hit / hit.sum(axis=0)[None, :]
-    return rho
+    sizes = np.diff(offsets)
+    mx = np.repeat(np.maximum.reduceat(inst_scores, offsets[:-1], axis=0), sizes, axis=0)
+    hit = inst_scores >= mx - 1e-9 * np.maximum(1.0, np.abs(mx))
+    hits = np.add.reduceat(hit.astype(np.int64), offsets[:-1], axis=0)
+    return hit / np.repeat(hits, sizes, axis=0)
 
 
 def uniform_rho(offsets: np.ndarray, T: int) -> np.ndarray:
-    n = int(offsets[-1])
-    rho = np.zeros((n, T))
-    for i in range(offsets.size - 1):
-        rho[offsets[i]:offsets[i + 1]] = 1.0 / (offsets[i + 1] - offsets[i])
-    return rho
+    sizes = np.diff(offsets)
+    return np.repeat(np.repeat(1.0 / sizes, sizes)[:, None], T, axis=1)
 
 
 # ------------------------------------------------------- inner machinery
@@ -172,10 +164,7 @@ class _Problem:
         self.tau = tau if tau is not None else np.ones_like(Y, dtype=np.float64)
         self.T = Y.shape[1]
         self.pool = 3 * self.m + self.n
-        self.bag_of_inst = np.concatenate([
-            np.full(int(self.offsets[i + 1] - self.offsets[i]), i)
-            for i in range(self.m)
-        ]) if self.n else np.zeros(0, dtype=int)
+        self.bag_of_inst = np.repeat(np.arange(self.m), np.diff(self.offsets))
 
     def kind(self, q: int):
         """Decode a pool id: ('hinge'|'xi'|'inst'|'linmax', bag, inst_row)."""
@@ -607,10 +596,6 @@ def _joint_objective(prob: _Problem, blocks) -> float:
 # ------------------------------------------------------------------ fit
 
 
-def label_matrix(ds: MimlDataset) -> np.ndarray:
-    return label_signs(ds.label_sets(), ds.T)
-
-
 def fit(ds: MimlDataset, cfg: DMimlConfig = DMimlConfig()) -> DMimlSvmModel:
     """CCCP outer loop: solve the convex subproblem, update rho from the
     instance scores, and accept the new state only if the objective did not
@@ -619,7 +604,7 @@ def fit(ds: MimlDataset, cfg: DMimlConfig = DMimlConfig()) -> DMimlSvmModel:
     spec = KernelSpec(cfg.kernel_kind, cfg.kernel_gamma)
     spec = KernelSpec(spec.kind, spec.resolve_gamma(ds.d))
     gram = build_gram(spec, ds)
-    Y = label_matrix(ds)
+    Y = label_signs(ds.Y)
     tau = tau_from_ibr(Y, compute_imbalance_rates(ds)) if cfg.use_imbalance else None
     rng = np.random.default_rng(cfg.seed)
 
@@ -658,16 +643,11 @@ def fit(ds: MimlDataset, cfg: DMimlConfig = DMimlConfig()) -> DMimlSvmModel:
     )
 
 
-def _decision_matrix(model: DMimlSvmModel, bags: Sequence[Bag]) -> np.ndarray:
-    """(q, T) values f_t(X*) via the kernel expansion over all training bags
-    and instances."""
-    K = kernel_against_objects(model.kernel, model.train_bags, bags)
-    return K.T @ model.A + model.biases
-
-
-def predict_many(model: DMimlSvmModel, bags: Sequence[Bag]) -> LabelScores:
-    """Positive-score labels with an argmax fallback for an empty row."""
-    S = _decision_matrix(model, bags)
+def predict_many(model: DMimlSvmModel, bags: Bags) -> LabelScores:
+    """Positive-score labels, with an argmax fallback for an empty row, of
+    the values f_t(X*) of the kernel expansion over all training bags and
+    instances."""
+    S = kernel_against_objects(model.kernel, model.train_bags, bags).T @ model.A + model.biases
     P = S > 0
     empty = ~P.any(axis=1)
     P[empty, np.argmax(S[empty], axis=1)] = True

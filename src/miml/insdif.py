@@ -9,12 +9,12 @@ SVD least squares.
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from typing import Optional
 
 import numpy as np
 
 from .bagdist import k_medoids_from_dists, pairwise_hausdorff
-from .core import Bag, MimlDataset, label_signs, require_valid
+from .core import Bags, MimlDataset, label_signs, require_valid
 from .metrics import LabelScores
 from .mimlsvm import tcriterion
 from .solvers import lstsq_svd
@@ -31,7 +31,7 @@ class InsDifConfig:
 @dataclass(eq=False)
 class InsDifModel:
     prototypes: np.ndarray          # (T, d)
-    medoids: Tuple[Bag, ...]        # M transformed bags
+    medoids: Bags                   # M transformed bags
     W: np.ndarray                   # (M, T) output weights
     fallback: bool
     history: dict = field(default_factory=dict, repr=False)
@@ -47,7 +47,7 @@ class InsDifModel:
     def to_payload(self) -> dict:
         return {
             "prototypes": self.prototypes.tolist(),
-            "medoids": [b.to_payload() for b in self.medoids],
+            "medoids": self.medoids.to_payload(),
             "W": self.W.tolist(),
             "fallback": self.fallback,
         }
@@ -56,46 +56,44 @@ class InsDifModel:
     def from_payload(p: dict) -> "InsDifModel":
         return InsDifModel(
             prototypes=np.asarray(p["prototypes"], dtype=np.float64),
-            medoids=tuple(Bag.from_payload(b) for b in p["medoids"]),
+            medoids=Bags.from_payload(p["medoids"]),
             W=np.asarray(p["W"], dtype=np.float64),
             fallback=bool(p["fallback"]),
         )
 
 
-def compute_prototypes(X: np.ndarray, label_sets: Sequence[frozenset], T: int) -> np.ndarray:
-    """Per-label mean of the training instances carrying that label."""
-    X = np.asarray(X, dtype=np.float64)
-    protos = np.zeros((T, X.shape[1]))
-    for l in range(T):
-        rows = [i for i, labels in enumerate(label_sets) if l in labels]
-        if not rows:
+def compute_prototypes(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Per-label mean of the training instances (rows of X) whose example
+    carries that label in the (m, T) bool label matrix Y."""
+    protos = np.zeros((Y.shape[1], X.shape[1]))
+    for l in range(Y.shape[1]):
+        if not Y[:, l].any():
             raise ValueError(f"label {l} has no training instances")
-        protos[l] = X[rows].mean(axis=0)
+        protos[l] = X[Y[:, l]].mean(axis=0)
     return protos
 
 
-def instance_to_bag(x: np.ndarray, prototypes: np.ndarray, ident: str = "b") -> Bag:
-    """Bag of difference vectors {x - v_l}, one per label, in label order."""
-    x = np.asarray(x, dtype=np.float64).ravel()
-    if x.size != prototypes.shape[1]:
-        raise ValueError("dimension mismatch")
-    return Bag(ident, x[None, :] - prototypes)
+def instance_bags(X: np.ndarray, prototypes: np.ndarray) -> Bags:
+    """One bag per row x of X: its difference vectors {x - v_l}, one per
+    label, in label order; bag i has id ``t<i>``.  A row width other than
+    the prototypes' is a ValueError."""
+    diffs = X[:, None, :] - prototypes[None, :, :]
+    return Bags([f"t{i}" for i in range(X.shape[0])], diffs.reshape(-1, X.shape[1]),
+                np.arange(X.shape[0] + 1) * prototypes.shape[0])
 
 
-def _single_instances(ds: MimlDataset) -> np.ndarray:
-    for bag, _ in ds.examples:
-        if bag.size != 1:
-            raise ValueError("InsDif expects single-instance examples (bags of size 1)")
-    return np.vstack([bag.feats[0] for bag, _ in ds.examples])
+def _single_instances(bags: Bags) -> np.ndarray:
+    if np.any(bags.sizes != 1):
+        raise ValueError("InsDif expects single-instance examples (bags of size 1)")
+    return bags.X
 
 
 def fit(ds: MimlDataset, cfg: InsDifConfig = InsDifConfig()) -> InsDifModel:
     require_valid(ds)
-    X = _single_instances(ds)
-    label_sets = ds.label_sets()
-    protos = compute_prototypes(X, label_sets, ds.T)
+    X = _single_instances(ds.bags())
+    protos = compute_prototypes(X, ds.Y)
 
-    transformed = [instance_to_bag(X[i], protos, ident=f"t{i}") for i in range(ds.m)]
+    transformed = instance_bags(X, protos)
     M = cfg.M if cfg.M is not None else math.ceil(cfg.m_fraction * ds.m)
     if not (1 <= M <= ds.m):
         raise ValueError(f"M={M} out of range [1, {ds.m}]")
@@ -105,26 +103,24 @@ def fit(ds: MimlDataset, cfg: InsDifConfig = InsDifConfig()) -> InsDifModel:
     medoid_idx = list(clustering.medoid_indices)
     Phi = D[:, medoid_idx]
 
-    targets = label_signs(label_sets, ds.T)
+    targets = label_signs(ds.Y)
     W = lstsq_svd(Phi, targets)
 
     return InsDifModel(
         prototypes=protos,
-        medoids=tuple(transformed[i] for i in medoid_idx),
+        medoids=transformed.take(medoid_idx),
         W=W,
         fallback=cfg.fallback,
         history={"Phi": Phi, "targets": targets},
     )
 
 
-def predict_many(model: InsDifModel, bags: Sequence[Bag]) -> LabelScores:
+def predict_many(model: InsDifModel, bags: Bags) -> LabelScores:
     """score(l) = sum_j W[j, l] * d_H(B*, C_j) for every single-instance
     bag; the literal positive-score rule may leave a row empty unless the
     fallback flag is on, which applies the T-criterion to empty rows."""
-    if any(bag.size != 1 for bag in bags):
-        raise ValueError("InsDif predicts on single-instance examples")
-    transformed = [instance_to_bag(bag.feats[0], model.prototypes, ident="*") for bag in bags]
-    S = pairwise_hausdorff(transformed, model.medoids) @ model.W
+    X = _single_instances(bags)
+    S = pairwise_hausdorff(instance_bags(X, model.prototypes), model.medoids) @ model.W
     P = S > 0
     if model.fallback:
         empty = ~P.any(axis=1)

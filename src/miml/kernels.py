@@ -8,12 +8,11 @@ scale-free in bag size.
 """
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .bagdist import stack_bags
-from .core import Bag, MimlDataset
+from .core import Bags, MimlDataset
 
 
 @dataclass(frozen=True)
@@ -91,16 +90,12 @@ def build_gram(spec: KernelSpec, ds: MimlDataset) -> GramMatrix:
     """Assemble the joint Gram over bags and instances from one instance-level
     base-kernel matrix plus per-bag block means."""
     bags = ds.bags()
-    m = len(bags)
-    sizes = np.array([b.size for b in bags], dtype=np.int64)
-    offsets = np.concatenate(([0], np.cumsum(sizes)))
-    Z = np.vstack([b.feats for b in bags])
+    m, Z, sizes = len(bags), bags.X, bags.sizes
     B = instance_gram(spec, Z)
 
     n = Z.shape[0]
     S = np.zeros((m, n))
-    for i in range(m):
-        S[i, offsets[i]:offsets[i + 1]] = 1.0 / sizes[i]
+    S[np.repeat(np.arange(m), sizes), np.arange(n)] = np.repeat(1.0 / sizes, sizes)
     G_bi = S @ B
     G_bb = G_bi @ S.T
     G_bb = (G_bb + G_bb.T) / 2.0
@@ -110,19 +105,15 @@ def build_gram(spec: KernelSpec, ds: MimlDataset) -> GramMatrix:
     K[:m, m:] = G_bi
     K[m:, :m] = G_bi.T
     K[m:, m:] = B
-    return GramMatrix(values=K, m=m, offsets=offsets)
+    return GramMatrix(values=K, m=m, offsets=bags.offsets)
 
 
-def kernel_against_objects(spec: KernelSpec, bags: Sequence[Bag],
-                           queries: Sequence[Bag]) -> np.ndarray:
+def kernel_against_objects(spec: KernelSpec, bags: Bags, queries: Bags) -> np.ndarray:
     """Set-kernel values between q query bags and all m+n training objects
     (bags first, then every instance as a singleton bag), as an (m+n, q)
     matrix from one instance-level kernel call."""
-    Z, offsets = stack_bags(bags)
-    Q, q_offsets = stack_bags(queries)
-    if Q.shape[1] != Z.shape[1]:
-        raise ValueError("dimension mismatch")
-    C = instance_gram(spec, Z, Q)    # (n, query instances)
+    C = instance_gram(spec, bags.X, queries.X)    # (n, query instances)
+    q_offsets, offsets = queries.offsets, bags.offsets
     inst_vals = np.add.reduceat(C, q_offsets[:-1], axis=1) / np.diff(q_offsets)
     bag_vals = np.add.reduceat(inst_vals, offsets[:-1], axis=0) / np.diff(offsets)[:, None]
     return np.vstack([bag_vals, inst_vals])

@@ -22,25 +22,14 @@ round in boosting order.
 """
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from .bagdist import stack_bags
-from .core import Bag, MimlDataset, psi, require_valid
+from .core import Bags, MimlDataset, label_signs, require_valid
 from .kernels import KernelSpec
 from .metrics import LabelScores
 from .solvers import SvmDecision, minimize_1d_convex, weighted_svm_support
-
-
-@dataclass(frozen=True)
-class MilBag:
-    """One transformed multi-instance bag for an (example, label) pair."""
-
-    example: int
-    label: int
-    feats: np.ndarray   # (n_u, d + T): original features + one-hot label block
-    sign: int           # membership sign of the pair
 
 
 @dataclass(frozen=True)
@@ -214,16 +203,21 @@ def _augment(feats: np.ndarray, label: int, T: int) -> np.ndarray:
     return np.hstack([feats, block])
 
 
-def transform_to_mil(ds: MimlDataset) -> List[MilBag]:
-    """The m*T transformed bags, ordered example-major then label."""
+def transform_to_mil(ds: MimlDataset):
+    """The m*T transformed bags, example-major then label, as stacked rows
+    ``(X, raw, label, y, offsets)``: transformed bag u*T + v is rows
+    offsets[u*T+v]:offsets[u*T+v+1] of X, example u's instances (rows
+    ``raw`` of the dataset's X) with label v's one-hot block appended, and
+    y holds each row's membership sign of (u, v)."""
     require_valid(ds)
-    out = []
-    for u, (bag, labels) in enumerate(ds.examples):
-        for v in range(ds.T):
-            out.append(MilBag(example=u, label=v,
-                              feats=_augment(bag.feats, v, ds.T),
-                              sign=psi(labels, v, ds.T)))
-    return out
+    bags, T = ds.bags(), ds.T
+    sizes = np.repeat(bags.sizes, T)
+    offsets = np.concatenate(([0], np.cumsum(sizes)))
+    mil = np.repeat(np.arange(sizes.size), sizes)    # transformed bag of each row
+    raw = bags.offsets[mil // T] + np.arange(offsets[-1]) - offsets[mil]
+    label = mil % T
+    X = np.hstack([bags.X[raw], np.eye(T)[label]])
+    return X, raw, label, label_signs(ds.Y).ravel()[mil], offsets
 
 
 def train_stump(X: np.ndarray, y: np.ndarray, w: np.ndarray) -> Stump:
@@ -302,19 +296,13 @@ def fit(ds: MimlDataset, cfg: BoostConfig = BoostConfig()) -> BoostModel:
     require_valid(ds)
     if cfg.base not in ("svm", "stump"):
         raise ValueError(f"unknown base learner {cfg.base!r}")
-    mil = transform_to_mil(ds)
-    nbags = len(mil)
-    X = np.vstack([b.feats for b in mil])
-    sizes = np.array([b.feats.shape[0] for b in mil])
-    offsets = np.concatenate(([0], np.cumsum(sizes)))
-    y = np.concatenate([np.full(n, float(b.sign)) for b, n in zip(mil, sizes)])
+    X, raw, label, y, offsets = transform_to_mil(ds)
+    sizes = np.diff(offsets)
+    nbags = sizes.size
+    Z = ds.bags().X
 
     if cfg.base == "svm":
-        # row a of X is raw instance raw[a] with the block of label[a]; every
-        # round trains on the same rows, so their Gram is built once
-        Z, raw_off = stack_bags(ds.bags())
-        raw = np.concatenate([raw_off[b.example] + np.arange(n) for b, n in zip(mil, sizes)])
-        label = np.repeat([b.label for b in mil], sizes)
+        # every round trains on the same rows, so their Gram is built once
         gamma = KernelSpec("rbf", cfg.gamma).resolve_gamma(ds.d + ds.T)
         gram = _augmented_gram(Z, raw, label, gamma)
 
@@ -370,7 +358,7 @@ def _round_signs(model: BoostModel, X: np.ndarray) -> np.ndarray:
     return np.stack(signs, axis=1) if signs else np.zeros((X.shape[0], 0))
 
 
-def predict_many(model: BoostModel, bags: Sequence[Bag]) -> LabelScores:
+def predict_many(model: BoostModel, bags: Bags) -> LabelScores:
     """score(y) = sum_j sum_t c_t h_t(x_j, y); predicted = positive scores
     (the literal rule: a row may be empty).
 
@@ -379,7 +367,7 @@ def predict_many(model: BoostModel, bags: Sequence[Bag]) -> LabelScores:
     accumulated round by round in model order."""
     if not model.rounds and model.T < 1:
         raise ValueError("untrained model")
-    X, offsets = stack_bags(bags)
+    X, offsets = bags.X, bags.offsets
     if X.shape[1] != model.d:
         raise ValueError("dimension mismatch")
     T = model.T

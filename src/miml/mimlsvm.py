@@ -11,13 +11,13 @@ empty.
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from . import kernels
 from .bagdist import k_medoids_from_dists, pairwise_hausdorff
-from .core import Bag, MimlDataset, label_signs, require_valid
+from .core import Bags, MimlDataset, label_signs, require_valid
 from .kernels import KernelSpec
 from .metrics import LabelScores
 from .solvers import SvmDecision, train_ovr_svm
@@ -36,7 +36,7 @@ class MimlSvmConfig:
 
 @dataclass(eq=False)
 class MimlSvmModel:
-    medoids: Tuple[Bag, ...]
+    medoids: Bags
     svm: SvmDecision    # one output per label, on medoid-distance vectors
     T: int
     k: int
@@ -44,7 +44,7 @@ class MimlSvmModel:
 
     def to_payload(self) -> dict:
         return {
-            "medoids": [b.to_payload() for b in self.medoids],
+            "medoids": self.medoids.to_payload(),
             "svm": self.svm.to_payload(),
             "T": self.T,
             "k": self.k,
@@ -56,7 +56,7 @@ class MimlSvmModel:
             raise ValueError("the per-label 'svms' layout is no longer read; retrain the model")
         T, k = int(p["T"]), int(p["k"])
         svm = SvmDecision.from_payload(p["svm"], k, T)
-        medoids = tuple(Bag.from_payload(b) for b in p["medoids"])
+        medoids = Bags.from_payload(p["medoids"])
         if len(medoids) != k:
             raise ValueError(f"{len(medoids)} medoids for k={k}")
         return MimlSvmModel(medoids=medoids, svm=svm, T=T, k=k)
@@ -69,13 +69,13 @@ def resolve_k(cfg: MimlSvmConfig, m: int) -> int:
     return k
 
 
-def _train_label_svms(Z: np.ndarray, label_sets, T: int, Cs: Sequence[float],
+def _train_label_svms(Z: np.ndarray, Y: np.ndarray, Cs: Sequence[float],
                       gamma: Optional[float]) -> List[SvmDecision]:
-    """The per-label SVMs on Z for each C in Cs, all on one Gram of Z."""
+    """The per-label SVMs on Z for the bool label matrix Y and each C in Cs,
+    all on one Gram of Z."""
     spec = KernelSpec("rbf", gamma if gamma is not None else 1.0 / Z.shape[1])
     gram = kernels.instance_gram(spec, Z)
-    Y = label_signs(label_sets, T)
-    return [train_ovr_svm(Z, Y, C, spec, gram=gram) for C in Cs]
+    return [train_ovr_svm(Z, label_signs(Y), C, spec, gram=gram) for C in Cs]
 
 
 def tcriterion(S: np.ndarray) -> np.ndarray:
@@ -95,9 +95,7 @@ def fit(ds: MimlDataset, cfg: MimlSvmConfig = MimlSvmConfig()) -> MimlSvmModel:
     (the full pipeline is refit on the winning value)."""
     require_valid(ds)
     bags = ds.bags()
-    label_sets = ds.label_sets()
-    m = ds.m
-    k = resolve_k(cfg, m)
+    k = resolve_k(cfg, ds.m)
 
     D = pairwise_hausdorff(bags)
     clustering = k_medoids_from_dists(D, k, seed=cfg.seed)
@@ -108,9 +106,9 @@ def fit(ds: MimlDataset, cfg: MimlSvmConfig = MimlSvmConfig()) -> MimlSvmModel:
     history = {}
     if chosen_C is None:
         chosen_C, history = _holdout_C(ds, cfg, D)
-    (svm,) = _train_label_svms(Z, label_sets, ds.T, (chosen_C,), cfg.gamma)
+    (svm,) = _train_label_svms(Z, ds.Y, (chosen_C,), cfg.gamma)
     return MimlSvmModel(
-        medoids=tuple(bags[i] for i in medoid_idx),
+        medoids=bags.take(medoid_idx),
         svm=svm, T=ds.T, k=k,
         history={"C": chosen_C, **history},
     )
@@ -128,17 +126,16 @@ def _holdout_C(ds: MimlDataset, cfg: MimlSvmConfig, D: np.ndarray):
     cut = max(1, int(round(0.75 * m)))
     cut = min(cut, m - 1)
     sub, hold = perm[:cut], perm[cut:]
-    sub_ds = ds.subset(sub)
     k_sub = resolve_k(cfg, len(sub)) if cfg.k is None else min(cfg.k, len(sub))
     D_sub = D[np.ix_(sub, sub)]
     clustering = k_medoids_from_dists(D_sub, k_sub, seed=cfg.seed)
     medoid_idx = list(clustering.medoid_indices)
     Z_sub = D_sub[:, medoid_idx]
     Z_hold = D[np.ix_(hold, sub[medoid_idx])]
-    Y_hold = label_signs(ds.label_sets(), ds.T)[hold] > 0
+    Y_hold = ds.Y[hold]
 
     scores = {}
-    label_svms = _train_label_svms(Z_sub, sub_ds.label_sets(), ds.T, _C_GRID, cfg.gamma)
+    label_svms = _train_label_svms(Z_sub, ds.Y[sub], _C_GRID, cfg.gamma)
     for C, svm in zip(_C_GRID, label_svms):
         errors = np.count_nonzero(tcriterion(svm.decision(Z_hold)) != Y_hold)
         scores[C] = errors / (len(hold) * ds.T)
@@ -146,7 +143,7 @@ def _holdout_C(ds: MimlDataset, cfg: MimlSvmConfig, D: np.ndarray):
     return best, {"holdout_hamming": scores}
 
 
-def predict_many(model: MimlSvmModel, bags: Sequence[Bag]) -> LabelScores:
+def predict_many(model: MimlSvmModel, bags: Bags) -> LabelScores:
     """T-Criterion prediction from per-label SVM scores on the distance
     vectors; no predicted row is empty."""
     S = model.svm.decision(pairwise_hausdorff(bags, model.medoids))

@@ -21,11 +21,11 @@ turns pseudo-label vectors back into the original class.
 """
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
-from .core import Bag, MimlDataset, require_valid
+from .core import Bags, MimlDataset, require_valid
 from .kernels import KernelSpec
 from .metrics import LabelScores
 from .mimlsvm import MimlSvmConfig, MimlSvmModel
@@ -285,15 +285,6 @@ class SubCodModel:
                            T=T)
 
 
-def _single_labels(ds: MimlDataset) -> np.ndarray:
-    out = []
-    for _, labels in ds.examples:
-        if len(labels) != 1:
-            raise ValueError("SubCod expects single-label examples")
-        out.append(next(iter(labels)))
-    return np.asarray(out, dtype=int)
-
-
 def _binary_targets(labels: np.ndarray) -> np.ndarray:
     """+1 for the most frequent class (binary: the higher label index)."""
     values, counts = np.unique(labels, return_counts=True)
@@ -312,15 +303,16 @@ def default_components(N: int) -> int:
 
 def fit(ds: MimlDataset, cfg: SubCodConfig = SubCodConfig()) -> SubCodModel:
     require_valid(ds)
-    labels = _single_labels(ds)
+    if np.any(np.count_nonzero(ds.Y, axis=1) != 1):
+        raise ValueError("SubCod expects single-label examples")
+    labels = np.argmax(ds.Y, axis=1)
     bags = ds.bags()
-    sizes = np.array([b.size for b in bags])
-    X = np.vstack([b.feats for b in bags])
+    X = bags.X
 
     M = cfg.M if cfg.M is not None else default_components(X.shape[0])
     gmm = em_fit_gmm(X, M, seed=cfg.seed, max_iters=cfg.em_max_iters, tol=cfg.em_tol)
     assignments = assign_subconcepts(gmm, X)
-    c = derive_label_vectors(sizes, assignments, M)
+    c = derive_label_vectors(bags.sizes, assignments, M)
 
     theta = cfg.theta if cfg.theta is not None else int(round(0.4 * ds.m * M))
     y_bin = _binary_targets(labels)
@@ -328,15 +320,10 @@ def fit(ds: MimlDataset, cfg: SubCodConfig = SubCodConfig()) -> SubCodModel:
 
     # every bag holds at least one instance, so at least one pseudo-label
     # must survive polishing
-    for i in range(ds.m):
-        if np.all(c_tilde[i] < 0):
-            c_tilde[i, int(np.argmax(c[i]))] = 1.0
+    empty = np.flatnonzero(np.all(c_tilde < 0, axis=1))
+    c_tilde[empty, np.argmax(c[empty], axis=1)] = 1.0
 
-    pseudo = MimlDataset(
-        tuple((bags[i], frozenset(int(j) for j in np.flatnonzero(c_tilde[i] > 0)))
-              for i in range(ds.m)),
-        T=M, d=ds.d,
-    )
+    pseudo = MimlDataset(bags, c_tilde > 0)
     inner_cfg = MimlSvmConfig(k=cfg.inner_k, C=cfg.inner_C, seed=cfg.seed)
     inner = mimlsvm_fit(pseudo, inner_cfg)
 
@@ -350,7 +337,7 @@ def fit(ds: MimlDataset, cfg: SubCodConfig = SubCodConfig()) -> SubCodModel:
     )
 
 
-def predict_many(model: SubCodModel, bags: Sequence[Bag]) -> LabelScores:
+def predict_many(model: SubCodModel, bags: Bags) -> LabelScores:
     """Score view for the evaluation harness: the inner MIML predictions as
     +-1 vectors over the sub-concepts, scored by every mapper output; the
     single predicted class is the mapper argmax.  Scores cover the model's

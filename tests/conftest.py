@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from miml._dist import pairwise_sq_hausdorff
-from miml.bagdist import stack_bags
+from miml.bagdist import pairwise_hausdorff
 from miml.bench import fit_prior
-from miml.core import Bag, MimlDataset
+from miml.core import Bag, Bags, MimlDataset, label_matrix
 from miml.kernels import instance_gram
 
 
@@ -13,24 +12,33 @@ def random_bag(rng, d, n_min=1, n_max=4, ident="b"):
     return Bag(ident, rng.normal(size=(n, d)))
 
 
+def make_dataset(examples, T):
+    """The dataset of (Bag, label set) pairs."""
+    return MimlDataset(Bags.stack([bag for bag, _ in examples]),
+                       label_matrix([labels for _, labels in examples], T))
+
+
+def examples(ds):
+    """The dataset as (Bag, label set) pairs, in order."""
+    return list(zip(ds.bags(), ds.label_sets()))
+
+
 def random_dataset(rng, m=6, T=3, d=2, n_max=4):
     """Small random dataset with 1 <= |Y| <= T-1 (evaluation-safe)."""
-    examples = []
+    pairs = []
     for i in range(m):
         bag = random_bag(rng, d, n_max=n_max, ident=f"b{i}")
         size = int(rng.integers(1, T))  # at most T-1 labels
         labels = frozenset(int(v) for v in rng.choice(T, size=size, replace=False))
-        examples.append((bag, labels))
-    return MimlDataset(tuple(examples), T=T, d=d)
+        pairs.append((bag, labels))
+    return make_dataset(pairs, T)
 
 
 def hausdorff(a, b):
     """Hausdorff distance between two bags (Euclidean base metric)."""
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    xa, offa = stack_bags([a])
-    xb, offb = stack_bags([b])
-    return float(np.sqrt(pairwise_sq_hausdorff(xa, offa, xb, offb)[0, 0]))
+    return float(pairwise_hausdorff(Bags.stack([a]), Bags.stack([b]))[0, 0])
 
 
 def reference_decision(kernel, vectors, coef, bias, X):

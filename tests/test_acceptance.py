@@ -10,11 +10,11 @@ from miml import dataio, dmimlsvm, insdif, mimlboost, mimlsvm, subcod
 from miml.bagdist import k_medoids_from_dists, pairwise_hausdorff
 from miml.bench import SynthSpec, generate, paired_t_test, random_split_eval
 from miml.cli import REGISTRY, fit_with_config, make_fit_predict, run as cli_run
-from miml.core import Bag, MimlDataset
+from miml.core import Bag, Bags, label_signs
 from miml.kernels import KernelSpec, build_gram
 from miml.metrics import average_f1, compute_report
 
-from conftest import hausdorff, prior_fit_predict, random_bag, random_dataset
+from conftest import hausdorff, make_dataset, prior_fit_predict, random_bag, random_dataset
 from test_dmimlsvm import full_qp_objective
 from test_metrics import oracle_report, random_case
 
@@ -68,8 +68,8 @@ def test_criterion_3_kmedoids():
     rng = np.random.default_rng(303)
     ok = True
     for seed in range(50):
-        bags = [random_bag(rng, 2, n_max=3, ident=f"b{i}")
-                for i in range(int(rng.integers(5, 12)))]
+        bags = Bags.stack([random_bag(rng, 2, n_max=3, ident=f"b{i}")
+                           for i in range(int(rng.integers(5, 12)))])
         k = int(rng.integers(1, len(bags) + 1))
         D = pairwise_hausdorff(bags)
         res = k_medoids_from_dists(D, k, seed=seed)
@@ -174,7 +174,7 @@ def test_criterion_6_dmimlsvm():
         ds = random_dataset(np.random.default_rng(40 + trial), m=5, T=2, d=2, n_max=3)
         cfg = dmimlsvm.DMimlConfig(lam=0.6, mu=0.0, gamma=6.0)
         gram = build_gram(KernelSpec("rbf", 0.5), ds)
-        Y = dmimlsvm.label_matrix(ds)
+        Y = label_signs(ds.Y)
         rho = dmimlsvm.uniform_rho(gram.offsets, ds.T)
         sol = dmimlsvm.cutting_plane_solve(gram, Y, rho, cfg,
                                            np.random.default_rng(trial))
@@ -213,15 +213,14 @@ def test_criterion_7_insdif():
     for seed in range(6):
         r = np.random.default_rng(seed)
         m, T, d = 12, 3, 3
-        examples = []
         while True:
-            examples = [(Bag(f"s{i}", r.normal(size=(1, d))),
-                         frozenset(int(v) for v in r.choice(T, size=int(r.integers(1, T)),
-                                                            replace=False)))
-                        for i in range(m)]
-            if set().union(*(l for _, l in examples)) == set(range(T)):
+            pairs = [(Bag(f"s{i}", r.normal(size=(1, d))),
+                      frozenset(int(v) for v in r.choice(T, size=int(r.integers(1, T)),
+                                                         replace=False)))
+                     for i in range(m)]
+            if set().union(*(l for _, l in pairs)) == set(range(T)):
                 break
-        ds = MimlDataset(tuple(examples), T=T, d=d)
+        ds = make_dataset(pairs, T=T)
         model = insdif.fit(ds, insdif.InsDifConfig(seed=seed))
         Phi, Tg = model.history["Phi"], model.history["targets"]
         res = np.linalg.norm(Phi.T @ Phi @ model.W - Phi.T @ Tg)
@@ -232,13 +231,13 @@ def test_criterion_7_insdif():
     seed = 0
     while not interp_ok and seed < 10:
         r = np.random.default_rng(900 + seed)
-        examples = [(Bag(f"s{i}", r.normal(size=(1, 3))),
-                     frozenset({int(r.integers(0, 2))})) for i in range(6)]
-        labels = set().union(*(l for _, l in examples))
+        pairs = [(Bag(f"s{i}", r.normal(size=(1, 3))),
+                  frozenset({int(r.integers(0, 2))})) for i in range(6)]
+        labels = set().union(*(l for _, l in pairs))
         seed += 1
         if labels != {0, 1}:
             continue
-        ds = MimlDataset(tuple(examples), T=2, d=3)
+        ds = make_dataset(pairs, T=2)
         model = insdif.fit(ds, insdif.InsDifConfig(M=6, seed=0))
         Phi, Tg = model.history["Phi"], model.history["targets"]
         if abs(np.linalg.det(Phi)) > 1e-8:
@@ -289,10 +288,10 @@ def test_criterion_9_persistence(tmp_path):
     text2 = dataio.serialize_dataset(dataio.parse_dataset(text1))
     ds_ok = text1 == text2
 
-    single = MimlDataset(
-        tuple((Bag(f"s{i}", rng.normal(size=(1, 2))),
-               frozenset({int(rng.integers(0, 2))})) for i in range(8)),
-        T=2, d=2)
+    single = make_dataset(
+        [(Bag(f"s{i}", rng.normal(size=(1, 2))), frozenset({int(rng.integers(0, 2))}))
+         for i in range(8)],
+        T=2)
     if set().union(*single.label_sets()) != {0, 1}:
         pytest.skip("unlucky draw")
     datasets = {"mimlboost": ds, "mimlsvm": ds, "dmimlsvm": ds,

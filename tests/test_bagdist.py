@@ -10,7 +10,7 @@ from miml.bagdist import (
     medoid_of_dists,
     pairwise_hausdorff,
 )
-from miml.core import Bag
+from miml.core import Bag, Bags
 
 from conftest import hausdorff, random_bag
 
@@ -62,8 +62,8 @@ def test_metric_properties(rng):
 
 
 def test_pairwise_forms_match_enumeration_oracle(rng):
-    bags = [random_bag(rng, 3, n_max=5, ident=f"b{i}") for i in range(8)]
-    others = [random_bag(rng, 3, n_max=5, ident=f"c{j}") for j in range(5)]
+    bags = Bags.stack([random_bag(rng, 3, n_max=5, ident=f"b{i}") for i in range(8)])
+    others = Bags.stack([random_bag(rng, 3, n_max=5, ident=f"c{j}") for j in range(5)])
     square = pairwise_hausdorff(bags)
     cross = pairwise_hausdorff(bags, others)
     assert square.shape == (8, 8) and cross.shape == (8, 5)
@@ -89,7 +89,8 @@ def ragged_bags(rng, m, d, big, prefix):
     """Bags of 1 to 9 instances in shuffled order, plus one of ``big``."""
     sizes = list(rng.integers(1, 10, size=m - 1)) + [big]
     rng.shuffle(sizes)
-    return [Bag(f"{prefix}{i}", rng.normal(size=(int(n), d))) for i, n in enumerate(sizes)]
+    return Bags.stack([Bag(f"{prefix}{i}", rng.normal(size=(int(n), d)))
+                       for i, n in enumerate(sizes)])
 
 
 def check_forms(bags, others):
@@ -97,7 +98,7 @@ def check_forms(bags, others):
     cross = pairwise_hausdorff(bags, others)
     assert np.array_equal(square, square.T)
     assert np.all(np.diag(square) == 0.0)
-    assert np.abs(square - pairwise_hausdorff(bags, list(bags))).max() <= 1e-12
+    assert np.abs(square - pairwise_hausdorff(bags, Bags.stack(bags))).max() <= 1e-12
     assert np.abs(square - oracle_matrix(bags, bags)).max() <= 1e-12
     assert np.abs(cross - oracle_matrix(bags, others)).max() <= 1e-12
     assert np.array_equal(pairwise_hausdorff(others, bags), cross.T)
@@ -121,10 +122,11 @@ def test_small_block_budgets(rng, monkeypatch, block):
 
 def test_single_bag_and_queries_equal_to_medoids_are_exactly_zero(rng):
     bag = random_bag(rng, 4, n_min=1, n_max=6)
-    assert pairwise_hausdorff([bag]).tolist() == [[0.0]]
-    medoids = [random_bag(rng, 4, n_min=1, n_max=9, ident=f"m{i}") for i in range(30)]
+    assert pairwise_hausdorff(Bags.stack([bag])).tolist() == [[0.0]]
+    medoids = Bags.stack([random_bag(rng, 4, n_min=1, n_max=9, ident=f"m{i}")
+                          for i in range(30)])
     # the same point sets under other ids and in reversed instance order
-    queries = [Bag(f"q{i}", m.feats[::-1]) for i, m in enumerate(medoids)]
+    queries = Bags.stack([Bag(f"q{i}", m.feats[::-1]) for i, m in enumerate(medoids)])
     Z = pairwise_hausdorff(queries, medoids)
     assert np.all(np.diag(Z) == 0.0)
     assert np.all(Z[~np.eye(len(medoids), dtype=bool)] > 0.0)
@@ -135,7 +137,7 @@ def test_peak_memory_is_bounded_by_the_block_budget():
     # 4000 instances in 800 bags: the whole-matrix expansion kernel this
     # replaced peaked at ~256 MB of NumPy allocations on this input
     rng = np.random.default_rng(11)
-    bags = [Bag(f"b{i}", rng.normal(size=(5, 8))) for i in range(800)]
+    bags = Bags.stack([Bag(f"b{i}", rng.normal(size=(5, 8))) for i in range(800)])
     tracemalloc.start()
     try:
         D = pairwise_hausdorff(bags)
@@ -147,7 +149,7 @@ def test_peak_memory_is_bounded_by_the_block_budget():
 
 
 def test_medoid_of():
-    bags = [Bag(str(v), [[float(v)]]) for v in (0.0, 1.0, 10.0)]
+    bags = Bags.stack([Bag(str(v), [[float(v)]]) for v in (0.0, 1.0, 10.0)])
     D = pairwise_hausdorff(bags)
     assert medoid_of_dists(D, [0, 1, 2]) == 1
     assert medoid_of_dists(D, [0]) == 0
@@ -157,18 +159,18 @@ def test_medoid_of():
 
 def test_medoid_of_matches_exhaustive(rng):
     for _ in range(30):
-        bags = [random_bag(rng, 2, n_max=3, ident=f"g{i}")
-                for i in range(int(rng.integers(1, 6)))]
+        bags = Bags.stack([random_bag(rng, 2, n_max=3, ident=f"g{i}")
+                           for i in range(int(rng.integers(1, 6)))])
         D = pairwise_hausdorff(bags)
         best = min(range(len(bags)), key=lambda i: (D[i].sum(), i))
         assert medoid_of_dists(D, range(len(bags))) == best
 
 
 def test_kmedoids_trivial_cases(rng):
-    same = [Bag(f"s{i}", [[1.0, 1.0]]) for i in range(4)]
+    same = Bags.stack([Bag(f"s{i}", [[1.0, 1.0]]) for i in range(4)])
     res = k_medoids_from_dists(pairwise_hausdorff(same), 1, seed=0)
     assert len(res.medoid_indices) == 1 and res.cost == 0.0
-    bags = [random_bag(rng, 2, ident=f"b{i}") for i in range(5)]
+    bags = Bags.stack([random_bag(rng, 2, ident=f"b{i}") for i in range(5)])
     D = pairwise_hausdorff(bags)
     res = k_medoids_from_dists(D, 5, seed=0)
     assert set(res.medoid_indices) == set(range(5))
@@ -181,7 +183,7 @@ def test_kmedoids_is_fixed_point(rng):
     """Converged solutions are nearest-medoid consistent and belong to the
     set of fixed points found by brute force over all medoid pairs."""
     for seed in range(8):
-        bags = [random_bag(rng, 2, n_max=3, ident=f"b{i}") for i in range(5)]
+        bags = Bags.stack([random_bag(rng, 2, n_max=3, ident=f"b{i}") for i in range(5)])
         D = pairwise_hausdorff(bags)
         res = k_medoids_from_dists(D, 2, seed=seed)
         # nearest-medoid consistency
@@ -219,7 +221,7 @@ def test_kmedoids_is_fixed_point(rng):
 
 
 def test_kmedoids_deterministic(rng):
-    bags = [random_bag(rng, 2, ident=f"b{i}") for i in range(10)]
+    bags = Bags.stack([random_bag(rng, 2, ident=f"b{i}") for i in range(10)])
     r1 = k_medoids_from_dists(pairwise_hausdorff(bags), 3, seed=42)
     r2 = k_medoids_from_dists(pairwise_hausdorff(bags), 3, seed=42)
     assert r1 == r2

@@ -14,7 +14,7 @@ from miml.bench import (
 )
 from miml.dataio import serialize_dataset
 
-from conftest import prior_fit_predict
+from conftest import examples, prior_fit_predict
 
 
 def expected_base_marginal(spec):
@@ -36,7 +36,7 @@ def test_degenerate_generator_recovers_labels_exactly():
     spec = SynthSpec(T=3, d=4, m=40, spread=0.0, noise=0.0, seed=2)
     ds, planted = generate(spec)
     means = label_means(spec)
-    for (bag, labels), sources in zip(ds.examples, planted):
+    for (bag, labels), sources in zip(examples(ds), planted):
         for j, src in enumerate(sources):
             # nearest mean is the planted label, exactly
             dists = np.linalg.norm(means - bag.feats[j], axis=1)
@@ -48,7 +48,7 @@ def test_degenerate_generator_recovers_labels_exactly():
 def test_every_chosen_label_has_an_instance():
     spec = SynthSpec(T=4, d=4, m=60, seed=3)
     ds, planted = generate(spec)
-    for (bag, labels), sources in zip(ds.examples, planted):
+    for (bag, labels), sources in zip(examples(ds), planted):
         assert set(sources) == set(labels)
         assert bag.size >= len(labels)
 
@@ -58,7 +58,7 @@ def test_label_marginals_match_within_3_sigma():
     ds, _ = generate(spec)
     p = expected_base_marginal(spec)
     for l in range(3):
-        count = sum(1 for _, labels in ds.examples if l in labels)
+        count = sum(1 for labels in ds.label_sets() if l in labels)
         sigma = np.sqrt(spec.m * p * (1 - p))
         assert abs(count - spec.m * p) <= 3 * sigma
 
@@ -67,7 +67,7 @@ def test_composite_label_fires_on_cooccurrence():
     spec = SynthSpec(T=4, d=4, m=300, composite=True, label_prob=0.5, seed=1)
     ds, _ = generate(spec)
     fired = 0
-    for _, labels in ds.examples:
+    for labels in ds.label_sets():
         if {0, 1} <= labels:
             assert 3 in labels
             fired += 1

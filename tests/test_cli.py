@@ -8,12 +8,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import miml
 from miml import bench, cli, dataio, dmimlsvm, insdif, mimlboost, mimlsvm, subcod
 from miml.cli import REGISTRY, run
 from miml.core import Bag, MimlDataset
+
+from conftest import make_dataset
 
 
 def _run(argv):
@@ -53,10 +56,8 @@ def test_synth_train_eval_round_trip(workdir):
 
 def test_eval_perfect_fixture(tmp_path):
     # stump on the one-hot label block: +1 exactly for label 0
-    ds = MimlDataset(
-        tuple((Bag(f"b{i}", [[float(i)], [float(i) + 0.5]]), frozenset({0}))
-              for i in range(4)),
-        T=2, d=1)
+    ds = make_dataset([(Bag(f"b{i}", [[float(i)], [float(i) + 0.5]]), frozenset({0}))
+                       for i in range(4)], T=2)
     data = tmp_path / "fix.miml"
     data.write_text(dataio.serialize_dataset(ds))
     payload = {
@@ -90,6 +91,20 @@ def test_malformed_data_is_data_error(tmp_path):
     code, _ = _run(["train", "--algo", "mimlsvm", "--data", str(bad),
                     "--model", str(tmp_path / "m")])
     assert code == 2
+
+
+@pytest.mark.parametrize("text,line", [
+    ("miml/1 T=1 d=1\nlabels: a\nx | zzz | 1.0\n", 3),
+    ("miml/1 T=1 d=2\nlabels: a\nx | a | 1.0 2.0\ny | a | 1.0 2.0 ; 3.0\n", 4),
+    ("miml/1 T=1 d=0\nlabels: a\n", 1),
+])
+def test_malformed_data_names_its_line(text, line, tmp_path, capsys):
+    bad = tmp_path / "bad.miml"
+    bad.write_text(text)
+    code, _ = _run(["train", "--algo", "mimlsvm", "--data", str(bad),
+                    "--model", str(tmp_path / "m")])
+    assert code == 2
+    assert f"data error: line {line}: " in capsys.readouterr().err
 
 
 def test_cv_deterministic_stdout(workdir):
@@ -220,6 +235,15 @@ def test_eval_stdout_matches_golden(algo, tmp_path):
     code, text = _run(["eval", "--model", str(model), "--data", str(test)])
     assert code == 0
     assert text == _GOLDEN_EVAL[algo]
+
+
+@pytest.mark.parametrize("algo", sorted(_GOLDEN_SETUP))
+def test_synth_file_survives_parse_and_serialize(algo, tmp_path):
+    """The stacked arrays hold a dataset file exactly: a synth file of each
+    golden shape, parsed and written back, keeps its bytes."""
+    shape, m, _ = _GOLDEN_SETUP[algo]
+    text = _synth(tmp_path, "data", shape + f"m={m}\nseed=3\n").read_text()
+    assert dataio.serialize_dataset(dataio.parse_dataset(text)) == text
 
 
 # sha256 of the `miml train` model file; the solver-based learners' model
@@ -631,6 +655,11 @@ _MALFORMED = {
     "mimlsvm": ("T=3\nd=4\nm=10\nseed=1\n", "mimlsvm.C=1.0\n", "svm",
                 _svm_edits("svm", "svms") + [
                     (lambda p: p["medoids"].pop(), "medoids for k="),
+                    (lambda p: p["medoids"][-1]["feats"][-1].append(0.0), "with a sequence"),
+                    (lambda p: p["medoids"][1]["feats"].clear(), "bag 1 has no instances"),
+                    # written as 1e999, which parses as an infinite float
+                    (lambda p: p["medoids"][0]["feats"][0].__setitem__(0, "@"),
+                     "bag features must be finite"),
                 ]),
     "subcod": ("T=2\nd=4\nn_min=2\nn_max=6\nm=12\nseed=1\n", "subcod.M=3\n", "mapper",
                _svm_edits("mapper", "mappers") + [
@@ -652,7 +681,8 @@ def test_malformed_multi_svm_payload_is_data_error(algo, case, tmp_path, capsys)
     dec = data["payload"][key]
     assert len(dec["vectors"]) >= 1 and len(dec["bias"]) >= 2
     edit(data["payload"])
-    code, text = _eval_model_text(tmp_path, head + "\n" + json.dumps(data) + "\n")
+    body = json.dumps(data).replace('"@"', "1e999")
+    code, text = _eval_model_text(tmp_path, head + "\n" + body + "\n")
     assert code == 2 and text == ""
     err = capsys.readouterr().err
     assert f"bad {algo} model payload" in err and message in err
@@ -666,7 +696,7 @@ def test_subcod_scores_every_label_of_its_training_file(command, tmp_path):
     two = dataio.parse_dataset(_synth(tmp_path, "two", _GOLDEN_SETUP["subcod"][0]
                                       + "m=24\nseed=3\n").read_text())
     train = tmp_path / "train.miml"
-    train.write_text(dataio.serialize_dataset(MimlDataset(two.examples, T=3, d=two.d)))
+    train.write_text(dataio.serialize_dataset(MimlDataset(two.bags(), np.pad(two.Y, ((0, 0), (0, 1))))))
     if command == "eval":
         model = _train(tmp_path, "subcod", train, "subcod.seed=1\n")
         test = _synth(tmp_path, "test", "T=3\nd=4\nm=12\nseed=4\n")

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from miml.core import Bag, MimlDataset, psi
+from miml.core import Bag, Bags, label_signs, psi
 from miml.dmimlsvm import (
     DMimlConfig,
+    _Problem,
     compute_imbalance_rates,
     cutting_plane_solve,
     fit,
-    label_matrix,
     objective_value,
     predict_many,
     tau_from_ibr,
@@ -17,7 +17,7 @@ from miml.dmimlsvm import (
 from miml.kernels import KernelSpec, build_gram
 from miml.solvers import smo_solve
 
-from conftest import random_dataset
+from conftest import examples, make_dataset, random_dataset
 from qp_oracle import QpProblem, solve_qp
 
 
@@ -27,7 +27,7 @@ def loss_value(ds, bag_scores, inst_scores, lam):
     m, T = bag_scores.shape
     hinge = 0.0
     gap = 0.0
-    for i, (_, labels) in enumerate(ds.examples):
+    for i, labels in enumerate(ds.label_sets()):
         for t in range(T):
             y = psi(labels, t, T)
             hinge += max(0.0, 1.0 - y * bag_scores[i, t])
@@ -40,13 +40,13 @@ def loss_value(ds, bag_scores, inst_scores, lam):
 def test_loss_value_zero_function(rng):
     ds = random_dataset(rng, m=3, T=2, d=2)
     bag_scores = np.zeros((3, 2))
-    inst_scores = [np.zeros((bag.size, 2)) for bag, _ in ds.examples]
+    inst_scores = [np.zeros((bag.size, 2)) for bag in ds.bags()]
     assert loss_value(ds, bag_scores, inst_scores, lam=5.0) == pytest.approx(1.0)
 
 
 def test_loss_value_no_gap_term(rng):
     ds = random_dataset(rng, m=3, T=2, d=2)
-    inst_scores = [rng.normal(size=(bag.size, 2)) for bag, _ in ds.examples]
+    inst_scores = [rng.normal(size=(bag.size, 2)) for bag in ds.bags()]
     bag_scores = np.array([s.max(axis=0) for s in inst_scores])
     v1 = loss_value(ds, bag_scores, inst_scores, lam=0.0)
     v2 = loss_value(ds, bag_scores, inst_scores, lam=100.0)
@@ -56,11 +56,11 @@ def test_loss_value_no_gap_term(rng):
 def test_loss_value_matches_double_loop(rng):
     for _ in range(10):
         ds = random_dataset(rng, m=4, T=3, d=2)
-        inst_scores = [rng.normal(size=(bag.size, 3)) for bag, _ in ds.examples]
+        inst_scores = [rng.normal(size=(bag.size, 3)) for bag in ds.bags()]
         bag_scores = rng.normal(size=(4, 3))
         lam = float(rng.uniform(0, 2))
         acc = 0.0
-        for i, (bag, labels) in enumerate(ds.examples):
+        for i, (bag, labels) in enumerate(examples(ds)):
             for t in range(3):
                 y = 1 if t in labels else -1
                 acc += max(0.0, 1 - y * bag_scores[i, t])
@@ -70,9 +70,7 @@ def test_loss_value_matches_double_loop(rng):
 
 
 def test_imbalance_rates():
-    ds = MimlDataset(
-        ((Bag("a", np.zeros((4, 1))), frozenset({0, 1})),),
-        T=2, d=1)
+    ds = make_dataset(((Bag("a", np.zeros((4, 1))), frozenset({0, 1})),), T=2)
     ibr = compute_imbalance_rates(ds)
     assert np.allclose(ibr, [0.5, 0.5])
 
@@ -88,12 +86,12 @@ def test_imbalance_rates_sum_to_one(rng):
         n = sum(b.size for b in ds.bags())
         for t in range(3):
             acc = sum(bag.size / (n * len(labels))
-                      for bag, labels in ds.examples if t in labels)
+                      for bag, labels in examples(ds) if t in labels)
             assert ibr[t] == pytest.approx(acc, abs=1e-12)
 
 
 def test_imbalance_rate_absent_label():
-    ds = MimlDataset(((Bag("a", np.zeros((1, 1))), frozenset({0})),), T=2, d=1)
+    ds = make_dataset(((Bag("a", np.zeros((1, 1))), frozenset({0})),), T=2)
     with pytest.raises(ValueError):
         compute_imbalance_rates(ds)
 
@@ -101,7 +99,7 @@ def test_imbalance_rate_absent_label():
 def test_tau_rows_sum_to_one(rng):
     ds = random_dataset(rng, m=6, T=2, d=1)
     if set().union(*ds.label_sets()) == {0, 1}:
-        Y = label_matrix(ds)
+        Y = label_signs(ds.Y)
         tau = tau_from_ibr(Y, compute_imbalance_rates(ds))
         # for every label, tau at a positive plus tau at a negative equals 1
         for t in range(2):
@@ -238,7 +236,7 @@ def test_cutting_plane_matches_full_qp(rng):
         ds = random_dataset(rng, m=int(rng.integers(2, 6)), T=2, d=2, n_max=3)
         cfg = DMimlConfig(lam=0.6, mu=0.0, gamma=5.0)
         gram = build_gram(KernelSpec("rbf", 0.5), ds)
-        Y = label_matrix(ds)
+        Y = label_signs(ds.Y)
         rho = uniform_rho(gram.offsets, ds.T)
         sol = cutting_plane_solve(gram, Y, rho, cfg, np.random.default_rng(trial))
         obj = objective_value(sol.alphas, sol.xi, sol.delta, gram.values, cfg)
@@ -252,7 +250,7 @@ def test_cutting_plane_exhaustive_sweep_certificate(rng):
     ds = random_dataset(rng, m=4, T=2, d=2, n_max=3)
     cfg = DMimlConfig(lam=0.4, mu=0.3, gamma=8.0)
     gram = build_gram(KernelSpec("rbf", 0.5), ds)
-    Y = label_matrix(ds)
+    Y = label_signs(ds.Y)
     rho = uniform_rho(gram.offsets, ds.T)
     sol = cutting_plane_solve(gram, Y, rho, cfg, np.random.default_rng(0))
     K, m, off = gram.values, gram.m, gram.offsets
@@ -270,10 +268,10 @@ def test_cutting_plane_exhaustive_sweep_certificate(rng):
 
 
 def test_trivial_single_example_problem():
-    ds = MimlDataset(((Bag("a", [[0.0], [1.0]]), frozenset({0})),), T=1, d=1)
+    ds = make_dataset(((Bag("a", [[0.0], [1.0]]), frozenset({0})),), T=1)
     cfg = DMimlConfig(lam=0.5, mu=0.0, gamma=4.0)
     gram = build_gram(KernelSpec("rbf", 1.0), ds)
-    sol = cutting_plane_solve(gram, label_matrix(ds), uniform_rho(gram.offsets, 1),
+    sol = cutting_plane_solve(gram, label_signs(ds.Y), uniform_rho(gram.offsets, 1),
                               cfg, np.random.default_rng(0))
     assert sol.max_violation <= cfg.eps
     assert len(sol.working_sets[0]) <= 3 * 1 + 2
@@ -300,12 +298,12 @@ def test_predict_training_bag_matches_expansion(rng):
 
 def test_predict_constant_bias_label():
     model_bias = np.array([1.0, -1.0])
-    ds = MimlDataset(((Bag("a", [[0.0]]), frozenset({0})),), T=2, d=1)
+    ds = make_dataset(((Bag("a", [[0.0]]), frozenset({0})),), T=2)
     from miml.dmimlsvm import DMimlSvmModel
     model = DMimlSvmModel(A=np.zeros((2, 2)), biases=model_bias,
                           kernel=KernelSpec("rbf", 1.0),
                           train_bags=ds.bags(), tau=None)
-    ls = predict_many(model, [Bag("q", [[5.0]])])
+    ls = predict_many(model, Bags.stack([Bag("q", [[5.0]])]))
     assert ls.predicted.tolist() == [[True, False]]
 
 
@@ -319,9 +317,7 @@ def test_t1_singleton_agrees_with_plain_svm(rng):
     # under the dataset invariant, so model them with T=1... T=1 forbids
     # empty sets; use T=2 with a dummy second label instead
     labels = ([frozenset({0})] * (m // 2)) + ([frozenset({1})] * (m // 2))
-    ds = MimlDataset(
-        tuple((Bag(f"b{i}", X[i][None, :]), labels[i]) for i in range(m)),
-        T=2, d=2)
+    ds = make_dataset([(Bag(f"b{i}", X[i][None, :]), labels[i]) for i in range(m)], T=2)
     gamma_reg = 50.0
     cfg = DMimlConfig(lam=1.0, mu=0.0, gamma=gamma_reg, seed=0, cccp_max_iters=4)
     model = fit(ds, cfg)
@@ -334,7 +330,7 @@ def test_t1_singleton_agrees_with_plain_svm(rng):
     alpha, bias, _ = smo_solve(K, y, (gamma_reg / m) * np.ones(m), tol=1e-8)
     test_pts = rng.normal(size=(60, 2)) * 2.0
     svm_scores = (alpha * y) @ instance_gram(spec, X, test_pts) + bias
-    dm_scores = predict_many(model, [Bag("q", p[None, :]) for p in test_pts]).scores[:, 0]
+    dm_scores = predict_many(model, Bags(["q"] * len(test_pts), test_pts, np.arange(len(test_pts) + 1))).scores[:, 0]
     agree = np.mean(np.sign(svm_scores) == np.sign(dm_scores))
     assert agree >= 0.95
 
@@ -346,7 +342,7 @@ def test_fit_with_imbalance_flag(rng):
     model = fit(ds, DMimlConfig(gamma=15.0, seed=0, cccp_max_iters=3,
                                 use_imbalance=True))
     assert model.tau is not None
-    Y = label_matrix(ds)
+    Y = label_signs(ds.Y)
     assert np.allclose(model.tau,
                        tau_from_ibr(Y, compute_imbalance_rates(ds)), atol=1e-12)
     hist = model.history["objective"]
@@ -359,7 +355,7 @@ def test_imbalance_objective_variant(rng):
     ds = random_dataset(rng, m=6, T=2, d=2)
     if set().union(*ds.label_sets()) != {0, 1}:
         pytest.skip("random set missed a label")
-    Y = label_matrix(ds)
+    Y = label_signs(ds.Y)
     tau = tau_from_ibr(Y, compute_imbalance_rates(ds))
     cfg = DMimlConfig(gamma=4.0, lam=0.5, mu=0.2)
     A = rng.normal(size=(build_gram(KernelSpec("linear"), ds).size, 2)) * 0.1
@@ -370,3 +366,38 @@ def test_imbalance_objective_variant(rng):
     weighted = objective_value(A, xi, delta, K, cfg, tau)
     manual_diff = cfg.gamma / (6 * 2) * float((xi * (tau - 1.0)).sum())
     assert weighted - plain == pytest.approx(manual_diff, abs=1e-12)
+
+
+def test_offset_reductions_equal_per_bag_loops(rng):
+    """rho, the instance-to-bag map and the imbalance rates read the
+    offsets directly; each is bit-identical to the per-bag loop it replaced."""
+    rated = 0
+    for _ in range(20):
+        ds = random_dataset(rng, m=int(rng.integers(1, 9)), T=3, d=2, n_max=5)
+        off = ds.bags().offsets
+        # ties and near-ties (within the relative tolerance) within bags
+        shape = (int(off[-1]), 3)
+        scores = np.round(3.0 * rng.normal(size=shape)) * 1e4 + rng.choice([0.0, 1e-6], shape)
+        want = np.zeros_like(scores)
+        uniform = np.zeros_like(scores)
+        for i in range(ds.m):
+            seg = scores[off[i]:off[i + 1]]
+            mx = seg.max(axis=0)
+            hit = seg >= (mx - 1e-9 * np.maximum(1.0, np.abs(mx)))[None, :]
+            want[off[i]:off[i + 1]] = hit / hit.sum(axis=0)[None, :]
+            uniform[off[i]:off[i + 1]] = 1.0 / (off[i + 1] - off[i])
+        for got, ref in ((update_rho(scores, off), want), (uniform_rho(off, 3), uniform)):
+            assert got.flags.c_contiguous and got.tobytes() == ref.tobytes()
+        gram = build_gram(KernelSpec("linear"), ds)
+        bag_of_inst = _Problem(gram, label_signs(ds.Y), DMimlConfig(), None).bag_of_inst
+        assert bag_of_inst.tolist() == [i for i, b in enumerate(ds.bags()) for _ in range(b.size)]
+        if set().union(*ds.label_sets()) != {0, 1, 2}:
+            continue
+        n = int(off[-1])
+        ibr = np.zeros(3)
+        for bag, labels in examples(ds):
+            for y in labels:
+                ibr[y] += bag.size / (n * len(labels))
+        assert compute_imbalance_rates(ds).tobytes() == ibr.tobytes()
+        rated += 1
+    assert rated

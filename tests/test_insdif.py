@@ -1,26 +1,26 @@
 import numpy as np
 import pytest
 
-from miml.core import Bag, MimlDataset
+from miml.core import Bag, Bags, label_matrix
 from miml.insdif import (
     InsDifConfig,
     InsDifModel,
     compute_prototypes,
     fit,
-    instance_to_bag,
+    instance_bags,
     predict_many,
 )
 
-from conftest import hausdorff
+from conftest import hausdorff, make_dataset
 
 
 def _single_instance_ds(rng, m=10, T=3, d=3):
-    examples = []
+    pairs = []
     for i in range(m):
         size = int(rng.integers(1, T))
         labels = frozenset(int(v) for v in rng.choice(T, size=size, replace=False))
-        examples.append((Bag(f"s{i}", rng.normal(size=(1, d))), labels))
-    ds = MimlDataset(tuple(examples), T=T, d=d)
+        pairs.append((Bag(f"s{i}", rng.normal(size=(1, d))), labels))
+    ds = make_dataset(pairs, T=T)
     # every label needs support; resample until all covered
     covered = set().union(*ds.label_sets())
     if covered != set(range(T)):
@@ -32,7 +32,7 @@ def test_prototypes_are_per_label_means(rng):
     X = rng.normal(size=(6, 2))
     labels = [frozenset({0}), frozenset({0, 1}), frozenset({1}),
               frozenset({0}), frozenset({1}), frozenset({0, 1})]
-    protos = compute_prototypes(X, labels, 2)
+    protos = compute_prototypes(X, label_matrix(labels, 2))
     for l in range(2):
         rows = [i for i, ls in enumerate(labels) if l in ls]
         assert np.allclose(protos[l], X[rows].mean(axis=0), atol=1e-12)
@@ -40,25 +40,27 @@ def test_prototypes_are_per_label_means(rng):
 
 def test_prototypes_identical_and_mean_cases():
     X = np.array([[1.0], [1.0]])
-    protos = compute_prototypes(X, [frozenset({0}), frozenset({0})], 1)
+    protos = compute_prototypes(X, np.array([[True], [True]]))
     assert protos[0, 0] == 1.0
     X = np.array([[0.0], [2.0]])
-    protos = compute_prototypes(X, [frozenset({0}), frozenset({0})], 1)
+    protos = compute_prototypes(X, np.array([[True], [True]]))
     assert protos[0, 0] == 1.0
     with pytest.raises(ValueError):
-        compute_prototypes(X, [frozenset({0}), frozenset({0})], 2)  # label 1 empty
+        compute_prototypes(X, np.array([[True, False], [True, False]]))  # label 1 empty
 
 
 def test_instance_to_bag_shape_and_zero_member(rng):
     protos = rng.normal(size=(4, 3))
     x = protos[2].copy()
-    bag = instance_to_bag(x, protos)
+    bags = instance_bags(np.vstack([x, x + 1.0]), protos)
+    assert bags.ids == ("t0", "t1") and bags.sizes.tolist() == [4, 4]
+    bag = bags[0]
     assert bag.size == 4  # exactly T members, label order
     assert np.allclose(bag.feats[2], 0.0)
     for l in range(4):
         assert np.allclose(bag.feats[l], x - protos[l], atol=1e-15)
     with pytest.raises(ValueError):
-        instance_to_bag(np.zeros(2), protos)
+        instance_bags(np.zeros((1, 2)), protos)
 
 
 def test_fit_normal_equation_residual(rng):
@@ -98,11 +100,11 @@ def test_predict_zero_weights_empty_and_fallback(rng):
     model = fit(ds, InsDifConfig(seed=0))
     zero = InsDifModel(prototypes=model.prototypes, medoids=model.medoids,
                        W=np.zeros_like(model.W), fallback=False)
-    ls = predict_many(zero, [Bag("q", rng.normal(size=(1, ds.d)))])
+    ls = predict_many(zero, Bags.stack([Bag("q", rng.normal(size=(1, ds.d)))]))
     assert np.all(ls.scores == 0.0) and not ls.predicted.any()
     with_fb = InsDifModel(prototypes=model.prototypes, medoids=model.medoids,
                           W=np.zeros_like(model.W), fallback=True)
-    ls = predict_many(with_fb, [Bag("q", rng.normal(size=(1, ds.d)))])
+    ls = predict_many(with_fb, Bags.stack([Bag("q", rng.normal(size=(1, ds.d)))]))
     assert ls.predicted.all()   # T-criterion on all-zero scores: every label
 
 
@@ -114,7 +116,7 @@ def test_fallback_fills_only_empty_rows(rng):
     model = fit(ds, InsDifConfig(M=2, seed=0))
     # score_l = d(q, C_0) - w_l d(q, C_1): a row is empty near C_0
     W = np.array([[1.0, 1.0, 1.0], [-1.0, -1.2, -0.8]])
-    bags = [Bag(f"q{i}", rng.normal(size=(1, ds.d))) for i in range(200)]
+    bags = Bags.stack([Bag(f"q{i}", rng.normal(size=(1, ds.d))) for i in range(200)])
     plain, with_fb = (predict_many(InsDifModel(model.prototypes, model.medoids, W, fb), bags)
                       for fb in (False, True))
     assert np.array_equal(plain.scores, with_fb.scores)
@@ -130,8 +132,8 @@ def test_predict_matches_weighted_sum_oracle(rng):
     ds = _single_instance_ds(rng, m=8)
     model = fit(ds, InsDifConfig(seed=2))
     x = rng.normal(size=ds.d)
-    (scores,) = predict_many(model, [Bag("q", x[None, :])]).scores
-    bag = instance_to_bag(x, model.prototypes)
+    (scores,) = predict_many(model, Bags.stack([Bag("q", x[None, :])])).scores
+    bag = instance_bags(x[None, :], model.prototypes)[0]
     for l in range(ds.T):
         acc = sum(model.W[j, l] * hausdorff(bag, model.medoids[j])
                   for j in range(model.M))
@@ -139,6 +141,9 @@ def test_predict_matches_weighted_sum_oracle(rng):
 
 
 def test_rejects_multi_instance_bags(rng):
-    ds = MimlDataset(((Bag("b", rng.normal(size=(2, 2))), frozenset({0})),), T=1, d=2)
+    ds = make_dataset(((Bag("b", rng.normal(size=(2, 2))), frozenset({0})),), T=1)
     with pytest.raises(ValueError):
         fit(ds, InsDifConfig())
+    model = fit(_single_instance_ds(rng, d=2), InsDifConfig())
+    with pytest.raises(ValueError, match="single-instance"):
+        predict_many(model, ds.bags())

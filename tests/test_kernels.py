@@ -6,7 +6,7 @@ import pytest
 from miml.core import Bag
 from miml.kernels import KernelSpec, build_gram, instance_gram, kernel_against_objects
 
-from conftest import random_dataset
+from conftest import make_dataset, random_dataset
 
 
 def base_kernel(spec, u, v):
@@ -68,8 +68,7 @@ def test_set_kernel_double_loop_oracle(rng):
 
 
 def test_gram_minimal_and_symmetry(rng):
-    from miml.core import MimlDataset
-    ds = MimlDataset(((Bag("a", [[1.0, 2.0]]), frozenset({0})),), T=1, d=2)
+    ds = make_dataset(((Bag("a", [[1.0, 2.0]]), frozenset({0})),), T=1)
     gm = build_gram(KernelSpec("rbf", 1.0), ds)
     assert gm.values.shape == (2, 2)
     assert np.allclose(np.diag(gm.values), 1.0)

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from miml import bench, cli
-from miml.bagdist import stack_bags
-from miml.core import Bag, MimlDataset, psi
+from miml.core import Bag, Bags, psi
 from miml.kernels import KernelSpec
 from miml.mimlboost import (
     BoostConfig,
@@ -16,7 +15,7 @@ from miml.mimlboost import (
     train_stump,
     transform_to_mil,
 )
-from conftest import random_dataset, reference_decision
+from conftest import make_dataset, random_dataset, reference_decision
 
 
 def reference_round_decisions(model: BoostModel, X: np.ndarray) -> np.ndarray:
@@ -45,24 +44,41 @@ def reference_scores(model: BoostModel, signs: np.ndarray, offsets) -> np.ndarra
     return scores
 
 
+def mil_bags(ds):
+    """The transformed bags as (example, label, augmented rows, sign) per
+    (example, label) pair, built bag by bag."""
+    return [(u, v, _augment(bag.feats, v, ds.T), psi(labels, v, ds.T))
+            for u, (bag, labels) in enumerate(zip(ds.bags(), ds.label_sets()))
+            for v in range(ds.T)]
+
+
 def test_transform_counts_and_labels(rng):
     ds = random_dataset(rng, m=2, T=3, d=2)
-    mil = transform_to_mil(ds)
-    assert len(mil) == 6  # m * T bags
-    for b in mil:
-        u, v = b.example, b.label
-        assert b.sign == psi(ds.examples[u][1], v, ds.T)
-        assert b.feats.shape == (ds.examples[u][0].size, ds.d + ds.T)
+    X, raw, label, y, offsets = transform_to_mil(ds)
+    assert offsets.size - 1 == 6  # m * T bags
+    for b, (u, v, feats, sign) in enumerate(mil_bags(ds)):
+        rows = slice(offsets[b], offsets[b + 1])
+        assert np.all(y[rows] == sign)
+        assert X[rows].tobytes() == feats.tobytes()
+        assert X[rows].shape == (ds.bags()[u].size, ds.d + ds.T)
+        assert np.all(label[rows] == v)
+        assert X[rows, :ds.d].tobytes() == ds.bags().X[raw[rows]].tobytes()
         # one-hot block carries the label identity
-        assert np.all(b.feats[:, ds.d + v] == 1.0)
-        assert b.feats[:, ds.d:].sum() == b.feats.shape[0]
+        assert np.all(X[rows, ds.d + v] == 1.0)
+        assert X[rows, ds.d:].sum() == feats.shape[0]
 
 
 def test_transform_is_bijection(rng):
     ds = random_dataset(rng, m=3, T=2, d=1)
-    mil = transform_to_mil(ds)
-    pairs = [(b.example, b.label) for b in mil]
-    assert pairs == [(u, v) for u in range(3) for v in range(2)]
+    _, raw, label, _, offsets = transform_to_mil(ds)
+    bag = np.repeat(np.arange(6), np.diff(offsets))   # transformed bag of each row
+    # transformed bag u*T + v: example u's instances, each once, with label v's block
+    assert np.array_equal(np.diff(offsets), np.repeat(ds.bags().sizes, 2))
+    assert np.array_equal(bag % 2, label)
+    starts = ds.bags().offsets
+    for b in range(6):
+        assert raw[offsets[b]:offsets[b + 1]].tolist() == list(range(starts[b // 2],
+                                                                     starts[b // 2 + 1]))
 
 
 def test_stump_fits_simple_split():
@@ -86,13 +102,11 @@ def test_round_bag_errors_match_counting_oracle(rng):
     instances that the round's weak learner gets wrong."""
     ds = random_dataset(rng, m=6, T=3, d=2)
     model = fit(ds, BoostConfig(rounds=6, base="stump"))
-    mil = transform_to_mil(ds)
     assert model.rounds
     for (weak, _), trace in zip(model.rounds, model.history["rounds"]):
-        for bag, e in zip(mil, trace["e"]):
-            n = bag.feats.shape[0]
-            wrong = sum(1 for j in range(n)
-                        if weak.predict_sign(bag.feats[j][None, :])[0] != bag.sign)
+        for (_, _, feats, sign), e in zip(mil_bags(ds), trace["e"]):
+            n = feats.shape[0]
+            wrong = sum(1 for j in range(n) if weak.predict_sign(feats[j][None, :])[0] != sign)
             assert e == pytest.approx(wrong / n)
 
 
@@ -122,9 +136,8 @@ def test_c_matches_grid_search(rng):
 def test_perfect_weak_learner_hits_cap_and_continues():
     # one label, so every transformed bag is positive: the constant +1
     # learner is perfect, the objective is decreasing in c, c_t = c_cap
-    ds = MimlDataset(
-        tuple((Bag(f"b{i}", [[float(i)]]), frozenset({0})) for i in range(4)),
-        T=1, d=1)
+    ds = make_dataset([(Bag(f"b{i}", [[float(i)]]), frozenset({0})) for i in range(4)],
+                      T=1)
     model = fit(ds, BoostConfig(rounds=3, base="stump", c_cap=10.0))
     assert len(model.rounds) == 3
     for _, c in model.rounds:
@@ -132,20 +145,18 @@ def test_perfect_weak_learner_hits_cap_and_continues():
 
 
 def test_table_stop_rule_discards_good_round():
-    ds = MimlDataset(
-        tuple((Bag(f"b{i}", [[float(i)]]), frozenset({0})) for i in range(4)),
-        T=1, d=1)
+    ds = make_dataset([(Bag(f"b{i}", [[float(i)]]), frozenset({0})) for i in range(4)],
+                      T=1)
     model = fit(ds, BoostConfig(rounds=3, base="stump", stop_rule="table"))
     assert model.rounds == ()  # the literal printed rule stops on a good round
 
 
 def test_predict_score_is_n_star_for_constant_learner():
-    ds = MimlDataset(
-        tuple((Bag(f"b{i}", [[float(i)]]), frozenset({0})) for i in range(3)),
-        T=1, d=1)
+    ds = make_dataset([(Bag(f"b{i}", [[float(i)]]), frozenset({0})) for i in range(3)],
+                      T=1)
     model = fit(ds, BoostConfig(rounds=1, base="stump", c_cap=1.0))
     bag = Bag("q", [[0.3], [0.4], [0.5]])
-    ls = predict_many(model, [bag])
+    ls = predict_many(model, Bags.stack([bag]))
     assert ls.scores[0, 0] == pytest.approx(3.0)  # c=1 cap, h=+1 on all 3 instances
     assert ls.predicted.tolist() == [[True]]
 
@@ -155,7 +166,7 @@ def test_predict_empty_when_all_scores_nonpositive():
     # x > +inf is never true, so prediction is -polarity = +1; flip polarity
     weak = Stump(feature=0, threshold=float("-inf"), polarity=-1)  # always -1
     model = BoostModel(rounds=((weak, 2.0),), T=2, d=1, config=BoostConfig())
-    ls = predict_many(model, [Bag("q", [[1.0], [2.0]])])
+    ls = predict_many(model, Bags.stack([Bag("q", [[1.0], [2.0]])]))
     assert np.all(ls.scores < 0)
     assert ls.predicted.tolist() == [[False, False]]
 
@@ -166,7 +177,7 @@ def test_predict_matches_double_sum_oracle(rng):
     assert model.rounds
     from miml.mimlboost import _augment
     bag = Bag("q", rng.normal(size=(3, 2)))
-    (scores,) = predict_many(model, [bag]).scores
+    (scores,) = predict_many(model, Bags.stack([bag])).scores
     for v in range(3):
         acc = 0.0
         for j in range(bag.size):
@@ -188,9 +199,9 @@ def test_pool_matches_per_round_reference(seed, rng):
     of the per-round layout, on more than one eval block of bags."""
     ds, model = _svm_model(seed)
     assert len(model.rounds) > 1
-    bags = [Bag(f"q{i}", 2.0 * rng.normal(size=(int(rng.integers(1, 5)), ds.d)))
-            for i in range(cli.EVAL_BLOCK + 45)]
-    X, offsets = stack_bags(bags)
+    bags = Bags.stack([Bag(f"q{i}", 2.0 * rng.normal(size=(int(rng.integers(1, 5)), ds.d)))
+                       for i in range(cli.EVAL_BLOCK + 45)])
+    X, offsets = bags.X, bags.offsets
     got = svm_decisions(model, X)
     ref = reference_round_decisions(model, X)
     # relative to the decision's scale, the sum of its terms' magnitudes
@@ -215,19 +226,19 @@ def test_svm_round_errors_match_pool_scorer():
     """The fit's per-round bag errors, read from its Gram, are what the
     pool scorer gives on the training instances."""
     ds, model = _svm_model()
-    X, offsets = stack_bags(ds.bags())
+    X, offsets = ds.bags().X, ds.bags().offsets
     dec = svm_decisions(model, X)
     for r, trace in enumerate(model.history["rounds"][:len(model.rounds)]):
-        for b, e in zip(transform_to_mil(ds), trace["e"]):
-            rows = dec[offsets[b.example]:offsets[b.example + 1], r * ds.T + b.label]
+        for (u, v, _, sign), e in zip(mil_bags(ds), trace["e"]):
+            rows = dec[offsets[u]:offsets[u + 1], r * ds.T + v]
             assert np.all(np.abs(rows) > 1e-9)
-            assert e == np.mean(np.where(rows >= 0, 1.0, -1.0) != b.sign)
+            assert e == np.mean(np.where(rows >= 0, 1.0, -1.0) != sign)
 
 
 def test_svm_prefix_of_rounds_is_a_model():
     ds, model = _svm_model()
     part = BoostModel(rounds=model.rounds[:2], T=ds.T, d=ds.d, config=model.config)
-    X, _ = stack_bags(ds.bags())
+    X = ds.bags().X
     assert np.allclose(svm_decisions(part, X), svm_decisions(model, X)[:, :2 * ds.T],
                        rtol=0.0, atol=1e-12)
 

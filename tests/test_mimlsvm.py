@@ -4,7 +4,7 @@ import pytest
 from miml.bagdist import k_medoids_from_dists, pairwise_hausdorff
 from miml.bench import SynthSpec, generate
 from miml.cli import EVAL_BLOCK
-from miml.core import Bag, psi
+from miml.core import Bag, Bags, psi
 from miml.kernels import KernelSpec
 from miml.metrics import compute_report
 from miml.mimlsvm import (MimlSvmConfig, _holdout_C, fit, predict_many, resolve_k,
@@ -15,14 +15,14 @@ from conftest import hausdorff, random_bag, random_dataset, reference_decision
 
 
 def test_medoid_distances_against_per_medoid_oracle(rng):
-    medoids = [random_bag(rng, 2, ident=f"m{i}") for i in range(4)]
+    medoids = Bags.stack([random_bag(rng, 2, ident=f"m{i}") for i in range(4)])
     bag = random_bag(rng, 2, ident="q")
-    z = pairwise_hausdorff([bag], medoids)[0]
+    z = pairwise_hausdorff(Bags.stack([bag]), medoids)[0]
     assert z.shape == (4,)
     assert np.all(z >= 0)
     for t in range(4):
         assert z[t] == pytest.approx(hausdorff(bag, medoids[t]), abs=1e-12)
-    assert pairwise_hausdorff([bag], [bag])[0, 0] == 0.0
+    assert pairwise_hausdorff(Bags.stack([bag]), Bags.stack([bag]))[0, 0] == 0.0
 
 
 def tcriterion_set(scores):
@@ -95,8 +95,8 @@ def test_fit_deterministic(rng):
     m1 = fit(ds, MimlSvmConfig(C=1.0, seed=3))
     m2 = fit(ds, MimlSvmConfig(C=1.0, seed=3))
     assert m1.to_payload() == m2.to_payload()
-    b = random_bag(rng, 2, ident="q")
-    p1, p2 = predict_many(m1, [b]), predict_many(m2, [b])
+    b = Bags.stack([random_bag(rng, 2, ident="q")])
+    p1, p2 = predict_many(m1, b), predict_many(m2, b)
     assert np.array_equal(p1.scores, p2.scores)
 
 
@@ -186,8 +186,8 @@ def test_label_svms_match_per_label_reference(seed):
         assert model.svm.bias[t] == bias
 
     rng = np.random.default_rng(seed)
-    bags = [Bag(f"q{i}", 2.0 * rng.normal(size=(int(rng.integers(1, 6)), ds.d)))
-            for i in range(EVAL_BLOCK + 45)]
+    bags = Bags.stack([Bag(f"q{i}", 2.0 * rng.normal(size=(int(rng.integers(1, 6)), ds.d)))
+                       for i in range(EVAL_BLOCK + 45)])
     Q = pairwise_hausdorff(bags, model.medoids)
     ref = reference_scores(spec, svms, Q)
     scale = np.array([np.abs(a).sum() + abs(b) for _, a, b in svms])

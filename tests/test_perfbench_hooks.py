@@ -28,3 +28,30 @@ def test_every_traced_layer_is_present():
         assert tracer.absent == _REMOVED
     finally:
         tracer.restore()
+
+
+def test_hausdorff_counter_counts_instance_pairs(monkeypatch):
+    """The counter sums ``b.size`` over each argument, so each must iterate
+    as bags: a bare instance matrix would count d per row."""
+    from collections import Counter
+
+    from miml import bench, mimlsvm
+
+    calls = []
+    real = mimlsvm.pairwise_hausdorff
+
+    def recording(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    ds, _ = bench.generate(bench.SynthSpec(T=3, d=4, m=30, n_min=2, n_max=5, seed=2))
+    model = mimlsvm.fit(ds, mimlsvm.MimlSvmConfig(C=1.0, seed=0))
+    monkeypatch.setattr(mimlsvm, "pairwise_hausdorff", recording)
+    bags = ds.bags()[5:25]
+    mimlsvm.predict_many(model, bags)
+    (args, kwargs), = calls
+    counters = Counter()
+    _load("layers")._hausdorff(counters, args, kwargs, None)
+    assert counters["hausdorff_calls"] == 1
+    assert counters["inst_pairs"] == bags.X.shape[0] * model.medoids.X.shape[0]
+    assert bags.X.shape[0] != 4 * len(bags)

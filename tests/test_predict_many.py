@@ -13,7 +13,7 @@ import pytest
 
 from miml import bench, dmimlsvm, insdif, mimlboost, mimlsvm, subcod
 from miml.cli import EVAL_BLOCK
-from miml.core import Bag
+from miml.core import Bag, Bags
 
 def _positive(s):
     return {l for l in range(s.size) if s[l] > 0}
@@ -53,15 +53,15 @@ def test_batch_matches_single_bag(algo, rng):
     shape, m, fit, predict_many, rule = _CASES[algo]
     ds, _ = bench.generate(bench.SynthSpec(m=m, seed=3, spread=1.0, **shape))
     model = fit(ds)
-    bags = [Bag(f"q{i}", 2.0 * rng.normal(size=(int(rng.integers(1, shape["n_max"] + 1)),
-                                                 shape["d"])))
-            for i in range(EVAL_BLOCK + 45)]
+    sizes = rng.integers(1, shape["n_max"] + 1, size=EVAL_BLOCK + 45)
+    bags = Bags.stack([Bag(f"q{i}", 2.0 * rng.normal(size=(int(n), shape["d"])))
+                       for i, n in enumerate(sizes)])
     batch = predict_many(model, bags)
     assert batch.scores.shape == batch.predicted.shape == (len(bags), ds.T)
     assert batch.scores.dtype == np.float64 and batch.predicted.dtype == bool
-    for i, bag in enumerate(bags):
+    for i in range(len(bags)):
         assert set(np.flatnonzero(batch.predicted[i]).tolist()) == rule(batch.scores[i])
-        one = predict_many(model, [bag])
+        one = predict_many(model, bags[i:i + 1])
         assert one.scores.shape == (1, ds.T)
         assert np.array_equal(one.predicted[0], batch.predicted[i])
         assert np.allclose(one.scores[0], batch.scores[i], rtol=0.0, atol=1e-12)

@@ -20,18 +20,20 @@ from miml.subcod import (
     predict_many,
 )
 
+from conftest import examples, make_dataset
+
 
 def _mil_binary_ds(rng, m=12, d=2, sep=4.0):
     """Two-class multi-instance data with planted per-class clusters."""
-    examples = []
+    pairs = []
     for i in range(m):
         cls = i % 2
         n = int(rng.integers(1, 4))
         center = np.zeros(d)
         center[0] = sep if cls else -sep
         feats = center + 0.3 * rng.normal(size=(n, d))
-        examples.append((Bag(f"b{i}", feats), frozenset({cls})))
-    return MimlDataset(tuple(examples), T=2, d=d)
+        pairs.append((Bag(f"b{i}", feats), frozenset({cls})))
+    return make_dataset(pairs, T=2)
 
 
 # ------------------------------------------------------------------ GMM
@@ -185,11 +187,11 @@ def test_fit_pipeline_shapes(rng):
 
 
 def test_fit_m1_predicts_majority(rng):
-    examples = []
+    pairs = []
     for i in range(9):
         cls = 0 if i < 6 else 1  # majority class 0
-        examples.append((Bag(f"b{i}", rng.normal(size=(2, 2))), frozenset({cls})))
-    ds = MimlDataset(tuple(examples), T=2, d=2)
+        pairs.append((Bag(f"b{i}", rng.normal(size=(2, 2))), frozenset({cls})))
+    ds = make_dataset(pairs, T=2)
     model = fit(ds, SubCodConfig(M=1, seed=0))
     assert np.all(model.history["c_tilde"] == 1.0)
     assert predict_many(model, ds.bags()).predicted.tolist() == [[True, False]] * ds.m
@@ -233,7 +235,8 @@ def test_scores_every_label_of_the_training_file(rng):
     """A T=3 training file whose examples hold only classes 0 and 1 gives a
     model that scores three labels, the absent one below both classes."""
     two = _mil_binary_ds(rng, m=12)
-    model = fit(MimlDataset(two.examples, T=3, d=two.d), SubCodConfig(M=2, seed=0))
+    model = fit(MimlDataset(two.bags(), np.pad(two.Y, ((0, 0), (0, 1)))),
+                SubCodConfig(M=2, seed=0))
     assert model.T == 3 and model.mapper_classes == (0, 1)
     S = predict_many(model, two.bags()).scores
     assert S.shape == (two.m, 3) and np.all(S[:, 2] < S[:, :2].min(axis=1))
@@ -244,7 +247,7 @@ def test_fit_recovers_planted_subconcepts(rng):
     model = fit(ds, SubCodConfig(M=2, seed=1))
     assigns = model.history["assignments"]
     planted = []
-    for bag, labels in ds.examples:
+    for bag, labels in examples(ds):
         planted.extend([next(iter(labels))] * bag.size)
     planted = np.array(planted)
     agree = max(np.mean(assigns == planted), np.mean(assigns == 1 - planted))
