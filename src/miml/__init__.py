@@ -7,7 +7,6 @@ kernels, and the in-house numerical solvers they run on.
 
 __version__ = "0.1.0"
 
-from .core import Bag, Bags, MimlDataset, ValidationReport, psi, validate_dataset
+from .core import Bag, Bags, MimlDataset, psi
 
-__all__ = ["Bag", "Bags", "MimlDataset", "ValidationReport", "psi", "validate_dataset",
-           "__version__"]
+__all__ = ["Bag", "Bags", "MimlDataset", "psi", "__version__"]

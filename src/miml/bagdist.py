@@ -15,6 +15,8 @@ import numpy as np
 from ._dist import pairwise_sq_hausdorff
 from .core import Bags
 
+KMEDOIDS_MAX_ITER = 100
+
 
 def pairwise_hausdorff(bags_a: Bags, bags_b: Optional[Bags] = None) -> np.ndarray:
     """Full Hausdorff distance matrix between two bag collections.
@@ -36,8 +38,8 @@ class Clustering:
     """Result of k-medoids: medoid example indices, per-bag assignment
     (as a medoid example index), and the total within-group distance.
 
-    ``cost_history`` holds the cost after each assignment pass of the
-    winning restart; it is non-increasing.
+    ``cost_history`` holds the cost after each assignment pass; it is
+    non-increasing.
     """
 
     medoid_indices: Tuple[int, ...]
@@ -70,31 +72,25 @@ def _cluster_cost(D: np.ndarray, assignment: np.ndarray) -> float:
     return float(D[np.arange(D.shape[0]), assignment].sum())
 
 
-def k_medoids_from_dists(D: np.ndarray, k: int, seed: int,
-                         max_iter: int = 100, restarts: int = 1) -> Clustering:
+def k_medoids_from_dists(D: np.ndarray, k: int, seed: int) -> Clustering:
     """k-medoids on a precomputed distance matrix; deterministic per seed."""
     m = D.shape[0]
     if not (1 <= k <= m):
         raise ValueError(f"k={k} out of range [1, {m}]")
-    rng = np.random.default_rng(seed)
-    best = None
-    for _ in range(max(1, restarts)):
-        medoids = set(int(i) for i in rng.choice(m, size=k, replace=False))
-        history = []
-        for _ in range(max_iter):
-            assignment = _assign(D, medoids)
-            history.append(_cluster_cost(D, assignment))
-            new_medoids = set()
-            for mi in sorted(medoids):
-                members = np.flatnonzero(assignment == mi)
-                new_medoids.add(medoid_of_dists(D, members))
-            if new_medoids == medoids:
-                break
-            medoids = new_medoids
+    medoids = set(int(i) for i in np.random.default_rng(seed).choice(m, size=k, replace=False))
+    history = []
+    for _ in range(KMEDOIDS_MAX_ITER):
         assignment = _assign(D, medoids)
-        cost = _cluster_cost(D, assignment)
-        history.append(cost)
-        if best is None or cost < best.cost:
-            best = Clustering(tuple(sorted(medoids)), tuple(int(a) for a in assignment),
-                              cost, tuple(history))
-    return best
+        history.append(_cluster_cost(D, assignment))
+        new_medoids = set()
+        for mi in sorted(medoids):
+            members = np.flatnonzero(assignment == mi)
+            new_medoids.add(medoid_of_dists(D, members))
+        if new_medoids == medoids:
+            break
+        medoids = new_medoids
+    assignment = _assign(D, medoids)
+    cost = _cluster_cost(D, assignment)
+    history.append(cost)
+    return Clustering(tuple(sorted(medoids)), tuple(int(a) for a in assignment),
+                      cost, tuple(history))

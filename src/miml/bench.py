@@ -14,7 +14,7 @@ from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
-from .core import Bag, Bags, MimlDataset, label_matrix, require_valid
+from .core import Bag, Bags, MimlDataset, label_matrix
 from .metrics import LabelScores, MetricReport, compute_report
 
 # two-tailed 5% critical values of Student's t, df 1..60 (so the test needs
@@ -105,9 +105,7 @@ def generate(spec: SynthSpec) -> Tuple[MimlDataset, Tuple[Tuple[int, ...], ...]]
         label_sets.append(labels)
         planted.append(tuple(sources))
     bags = Bags([f"b{i}" for i in range(spec.m)], np.array(rows).reshape(-1, spec.d), ends)
-    ds = MimlDataset(bags, label_matrix(label_sets, spec.T))
-    require_valid(ds)
-    return ds, tuple(planted)
+    return MimlDataset(bags, label_matrix(label_sets, spec.T)), tuple(planted)
 
 
 # ------------------------------------------------------------- baseline
@@ -170,7 +168,6 @@ def random_split_eval(fit_predict: Callable, ds: MimlDataset, train_fraction: fl
     criteria.  ``runs`` must be at least 1."""
     if runs < 1:
         raise ValueError(f"need at least one run, got runs={runs}")
-    require_valid(ds)
     reports = []
     for run in range(runs):
         rng = np.random.default_rng(np.random.SeedSequence((seed, run)))

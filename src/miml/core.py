@@ -6,8 +6,10 @@ lives in :mod:`miml.dataio`.
 
 A collection of bags is stored stacked (:class:`Bags`): one (N, d) instance
 matrix whose rows offsets[i]:offsets[i+1] are bag i.  A dataset is one such
-collection plus an (m, T) bool label matrix.  All types here are immutable
-after construction and safe to share across threads.
+collection plus an (m, T) bool label matrix, and it is valid by
+construction: one vectorized pass in its constructor names every bad
+example.  All types here are immutable after construction and safe to share
+across threads.
 """
 
 from collections.abc import Sequence
@@ -58,7 +60,7 @@ class Bags(Sequence):
 
     A sequence of :class:`Bag` views: indexing gives a bag, and a slice a
     ``Bags`` view, both without copying ``X``.  Empty bags are representable
-    (so validation can name them); the learners reject them.
+    (so validation can name them); :class:`MimlDataset` rejects them.
     """
 
     __slots__ = ("ids", "X", "offsets")
@@ -129,7 +131,12 @@ class Bags(Sequence):
 class MimlDataset:
     """m examples: one :class:`Bags` collection and the read-only (m, T)
     bool label matrix ``Y`` (``Y[i, l]`` when label l is in example i's set).
-    The feature dimension d is the width of the instance matrix."""
+    The feature dimension d is the width of the instance matrix.
+
+    Every dataset is valid: construction checks at least one example, T and
+    d at least 1, non-empty bags, all features finite and non-empty label
+    sets, and raises one ValueError naming each violation (by the index of
+    its example).  Labels are in range and bags share d by construction."""
 
     __slots__ = ("_bags", "Y")
 
@@ -137,6 +144,23 @@ class MimlDataset:
         Y = np.array(Y)
         if Y.dtype != bool or Y.ndim != 2 or Y.shape[0] != len(bags):
             raise ValueError(f"need an ({len(bags)}, T) bool label matrix, got {Y.dtype} {Y.shape}")
+        (m, T), d = Y.shape, bags.X.shape[1]
+        problems = []
+        if m < 1:
+            problems.append("dataset has no examples")
+        if T < 1:
+            problems.append(f"label count T={T} must be >= 1")
+        if d < 1:
+            problems.append(f"feature dimension d={d} must be >= 1")
+        bad_rows = np.flatnonzero(~np.isfinite(bags.X).all(axis=1))
+        for what, idx in (
+            ("empty bag", np.flatnonzero(bags.sizes == 0)),
+            ("non-finite feature", np.unique(np.searchsorted(bags.offsets, bad_rows, "right") - 1)),
+            ("empty label set", np.flatnonzero(~Y.any(axis=1))),
+        ):
+            problems.extend(f"{what} at index {i}" for i in idx.tolist())
+        if problems:
+            raise ValueError("invalid dataset: " + "; ".join(problems))
         Y.flags.writeable = False
         self._bags, self.Y = bags, Y
 
@@ -173,48 +197,6 @@ def label_matrix(label_sets: Sequence, T: int) -> np.ndarray:
                 raise ValueError(f"label index {y} out of range at index {i}")
         Y[i, list(labels)] = True
     return Y
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: Tuple[str, ...]
-
-    @property
-    def valid(self) -> bool:
-        return not self.violations
-
-
-def validate_dataset(ds: MimlDataset) -> ValidationReport:
-    """Check every dataset invariant and report each violation found.
-
-    Checks: at least one example, T and d at least 1, non-empty bags, all
-    features finite and non-empty label sets; each violation names the
-    index of its example.  Labels are in range and bags share d by
-    construction.
-    """
-    problems = []
-    if ds.m < 1:
-        problems.append("dataset has no examples")
-    if ds.T < 1:
-        problems.append(f"label count T={ds.T} must be >= 1")
-    if ds.d < 1:
-        problems.append(f"feature dimension d={ds.d} must be >= 1")
-    bags = ds.bags()
-    bad_rows = np.flatnonzero(~np.isfinite(bags.X).all(axis=1))
-    for what, idx in (
-        ("empty bag", np.flatnonzero(bags.sizes == 0)),
-        ("non-finite feature", np.unique(np.searchsorted(bags.offsets, bad_rows, "right") - 1)),
-        ("empty label set", np.flatnonzero(~ds.Y.any(axis=1))),
-    ):
-        problems.extend(f"{what} at index {i}" for i in idx.tolist())
-    return ValidationReport(tuple(problems))
-
-
-def require_valid(ds: MimlDataset) -> None:
-    """Raise ValueError listing all invariant violations, if any."""
-    report = validate_dataset(ds)
-    if not report.valid:
-        raise ValueError("invalid dataset: " + "; ".join(report.violations))
 
 
 def psi(example_labels: frozenset, y: int, num_labels: int) -> int:

@@ -21,7 +21,7 @@ from typing import Collection, Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import Bags, MimlDataset, label_matrix, require_valid
+from .core import Bags, MimlDataset, label_matrix
 
 DATASET_VERSION = "miml/1"
 MODEL_VERSION = "miml-model/1"
@@ -49,7 +49,6 @@ def default_label_names(T: int) -> Tuple[str, ...]:
 def serialize_dataset(ds: MimlDataset, label_names: Optional[Sequence[str]] = None) -> str:
     """Canonical text form: fixed field order, newline endings, shortest
     round-trip decimals."""
-    require_valid(ds)
     names = tuple(label_names) if label_names is not None else default_label_names(ds.T)
     if len(names) != ds.T:
         raise ValueError(f"{len(names)} label names for T={ds.T}")
@@ -128,13 +127,11 @@ def parse_dataset_with_names(text: str) -> Tuple[MimlDataset, Tuple[str, ...]]:
         label_sets.append(labels)
 
     X = np.array(vals, dtype=np.float64).reshape(len(vals) // d, d)
-    ds = MimlDataset(Bags(ids, X, ends), label_matrix(label_sets, T))
-    require_valid(ds)
-    return ds, names
+    return MimlDataset(Bags(ids, X, ends), label_matrix(label_sets, T)), names
 
 
 def parse_dataset(text: str) -> MimlDataset:
-    """Parse a "miml/1" stream; the result always passes validation."""
+    """Parse a "miml/1" stream; an invalid dataset is a ValueError."""
     return parse_dataset_with_names(text)[0]
 
 

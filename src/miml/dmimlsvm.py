@@ -27,7 +27,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import Bags, MimlDataset, label_signs, require_valid
+from .core import Bags, MimlDataset, label_signs
 from .kernels import GramMatrix, KernelSpec, build_gram, kernel_against_objects
 from .metrics import LabelScores
 from .solvers import NumericalError
@@ -103,7 +103,6 @@ class DMimlSvmModel:
 def compute_imbalance_rates(ds: MimlDataset) -> np.ndarray:
     """ibr(y) = sum over bags containing y of n_i / (n |Y_i|); sums to 1.
     Each label's terms are summed in example order."""
-    require_valid(ds)
     sizes = ds.bags().sizes
     share = sizes / (int(sizes.sum()) * np.count_nonzero(ds.Y, axis=1))
     ibr = np.cumsum(np.where(ds.Y, share[:, None], 0.0), axis=0)[-1]
@@ -600,7 +599,6 @@ def fit(ds: MimlDataset, cfg: DMimlConfig = DMimlConfig()) -> DMimlSvmModel:
     """CCCP outer loop: solve the convex subproblem, update rho from the
     instance scores, and accept the new state only if the objective did not
     increase; stop on a sub-tolerance decrease or the iteration cap."""
-    require_valid(ds)
     spec = KernelSpec(cfg.kernel_kind, cfg.kernel_gamma)
     spec = KernelSpec(spec.kind, spec.resolve_gamma(ds.d))
     gram = build_gram(spec, ds)

@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .bagdist import k_medoids_from_dists, pairwise_hausdorff
-from .core import Bags, MimlDataset, label_signs, require_valid
+from .core import Bags, MimlDataset, label_signs
 from .metrics import LabelScores
 from .mimlsvm import tcriterion
 from .solvers import lstsq_svd
@@ -89,7 +89,6 @@ def _single_instances(bags: Bags) -> np.ndarray:
 
 
 def fit(ds: MimlDataset, cfg: InsDifConfig = InsDifConfig()) -> InsDifModel:
-    require_valid(ds)
     X = _single_instances(ds.bags())
     protos = compute_prototypes(X, ds.Y)
 

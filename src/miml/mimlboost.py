@@ -26,7 +26,7 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from .core import Bags, MimlDataset, label_signs, require_valid
+from .core import Bags, MimlDataset, label_signs
 from .kernels import KernelSpec
 from .metrics import LabelScores
 from .solvers import SvmDecision, minimize_1d_convex, weighted_svm_support
@@ -86,10 +86,15 @@ class PoolSvm:
     bias: float
 
 
-def _stump_from_payload(p: dict) -> Stump:
+def _stump_from_payload(p: dict, width: int) -> Stump:
+    """A stump over rows of ``width`` columns (features, then label block)."""
     if p["kind"] != "stump":
         raise ValueError(f"unknown weak-learner kind {p['kind']!r}")
-    return Stump(int(p["feature"]), float(p["threshold"]), int(p["polarity"]))
+    polarity = p["polarity"]
+    if type(polarity) is not int or polarity not in (1, -1):
+        raise ValueError(f"polarity must be 1 or -1, got {polarity!r}")
+    return Stump(int(_indices([p["feature"]], width, "feature")[0]), float(p["threshold"]),
+                 polarity)
 
 
 def _indices(values, bound: int, name: str) -> np.ndarray:
@@ -173,7 +178,7 @@ class BoostModel:
             return BoostModel(rounds=rounds, T=T, d=d,
                               config=BoostConfig(base=base, gamma=gamma))
         if base == "stump":
-            rounds = tuple((_stump_from_payload(r["weak"]), float(r["c"]))
+            rounds = tuple((_stump_from_payload(r["weak"], d + T), float(r["c"]))
                            for r in p["rounds"])
             return BoostModel(rounds=rounds, T=T, d=d, config=BoostConfig(base=base))
         raise ValueError(f"unknown base learner {base!r}")
@@ -209,7 +214,6 @@ def transform_to_mil(ds: MimlDataset):
     offsets[u*T+v]:offsets[u*T+v+1] of X, example u's instances (rows
     ``raw`` of the dataset's X) with label v's one-hot block appended, and
     y holds each row's membership sign of (u, v)."""
-    require_valid(ds)
     bags, T = ds.bags(), ds.T
     sizes = np.repeat(bags.sizes, T)
     offsets = np.concatenate(([0], np.cumsum(sizes)))
@@ -293,7 +297,6 @@ def _pool_rounds(rounds, Z, raw, label, gamma):
 
 
 def fit(ds: MimlDataset, cfg: BoostConfig = BoostConfig()) -> BoostModel:
-    require_valid(ds)
     if cfg.base not in ("svm", "stump"):
         raise ValueError(f"unknown base learner {cfg.base!r}")
     X, raw, label, y, offsets = transform_to_mil(ds)

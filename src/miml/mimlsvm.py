@@ -17,7 +17,7 @@ import numpy as np
 
 from . import kernels
 from .bagdist import k_medoids_from_dists, pairwise_hausdorff
-from .core import Bags, MimlDataset, label_signs, require_valid
+from .core import Bags, MimlDataset, label_signs
 from .kernels import KernelSpec
 from .metrics import LabelScores
 from .solvers import SvmDecision, train_ovr_svm
@@ -93,7 +93,6 @@ def fit(ds: MimlDataset, cfg: MimlSvmConfig = MimlSvmConfig()) -> MimlSvmModel:
 
     With C unset, it is chosen by a 75/25 hold-out on the training set
     (the full pipeline is refit on the winning value)."""
-    require_valid(ds)
     bags = ds.bags()
     k = resolve_k(cfg, ds.m)
 

@@ -25,7 +25,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .core import Bags, MimlDataset, require_valid
+from .core import Bags, MimlDataset
 from .kernels import KernelSpec
 from .metrics import LabelScores
 from .mimlsvm import MimlSvmConfig, MimlSvmModel
@@ -34,6 +34,8 @@ from .mimlsvm import predict_many as mimlsvm_predict_many
 from .solvers import SvmDecision, train_ovr_svm, weighted_svm_support
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
+EM_RESTARTS = 3
+POLISH_MAX_ALTERNATIONS = 50
 
 
 @dataclass(frozen=True)
@@ -100,8 +102,9 @@ def _regularize(cov: np.ndarray) -> np.ndarray:
 
 
 def em_fit_gmm(X: np.ndarray, M: int, seed: int, max_iters: int = 100,
-               tol: float = 1e-7, restarts: int = 3) -> GmmModel:
-    """EM for a full-covariance Gaussian mixture, best of a few restarts.
+               tol: float = 1e-7) -> GmmModel:
+    """EM for a full-covariance Gaussian mixture, best of ``EM_RESTARTS``
+    runs.
 
     The winning run's log-likelihood history is non-decreasing: a step that
     fails to improve (possible only through the covariance regularizer)
@@ -120,7 +123,7 @@ def em_fit_gmm(X: np.ndarray, M: int, seed: int, max_iters: int = 100,
         raise ValueError(f"M={M} out of range [1, {N}]")
     rng = np.random.default_rng(seed)
     best = None
-    for _ in range(max(1, restarts)):
+    for _ in range(EM_RESTARTS):
         model = _em_once(X, M, rng, max_iters, tol)
         if best is None or model.history[-1] > best.history[-1]:
             best = model
@@ -217,10 +220,10 @@ def _polish_lp(w: np.ndarray, b: float, c: np.ndarray, y: np.ndarray,
     return Z
 
 
-def polish_labels(c: np.ndarray, y: np.ndarray, theta: int, C: float,
-                  max_alternations: int = 50):
-    """Alternating margin polishing; returns (c_tilde, objective history,
-    Z), where Z holds the final flip variables."""
+def polish_labels(c: np.ndarray, y: np.ndarray, theta: int, C: float):
+    """Alternating margin polishing, at most ``POLISH_MAX_ALTERNATIONS``
+    rounds; returns (c_tilde, objective history, Z), where Z holds the final
+    flip variables."""
     c = np.asarray(c, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     m, M = c.shape
@@ -232,7 +235,7 @@ def polish_labels(c: np.ndarray, y: np.ndarray, theta: int, C: float,
     Z = np.ones((m, M))
     history = []
     prev_obj = None
-    for _ in range(max_alternations):
+    for _ in range(POLISH_MAX_ALTERNATIONS):
         w, b = _polish_qp(c * Z, y, C)
         Z_new = _polish_lp(w, b, c, y, theta)
         obj = polish_objective(w, b, Z_new, c, y, C)
@@ -302,7 +305,6 @@ def default_components(N: int) -> int:
 
 
 def fit(ds: MimlDataset, cfg: SubCodConfig = SubCodConfig()) -> SubCodModel:
-    require_valid(ds)
     if np.any(np.count_nonzero(ds.Y, axis=1) != 1):
         raise ValueError("SubCod expects single-label examples")
     labels = np.argmax(ds.Y, axis=1)

@@ -107,6 +107,28 @@ def test_malformed_data_names_its_line(text, line, tmp_path, capsys):
     assert f"data error: line {line}: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("literal", ["nan", "inf", "-inf"])
+def test_non_finite_feature_is_data_error(command, literal, tmp_path, capsys):
+    """The parser reads ``nan`` and ``inf`` as floats; the dataset they
+    would build is invalid and names its example."""
+    data = _synth(tmp_path, "data", "T=3\nd=4\nm=10\nseed=1\n")
+    lines = data.read_text().splitlines(keepends=True)
+    # line 4 holds example 2; its first feature becomes the literal
+    ident, labels, feats = lines[4].split("|")
+    lines[4] = f"{ident}|{labels}| {literal} {feats.split(None, 1)[1]}"
+    bad = tmp_path / "bad.miml"
+    bad.write_text("".join(lines))
+    if command == "train":
+        argv = ["train", "--algo", "mimlsvm", "--data", str(bad), "--model", str(tmp_path / "m")]
+    else:
+        model = _train(tmp_path, "mimlsvm", data, "mimlsvm.C=1.0\n")
+        argv = ["eval", "--model", str(model), "--data", str(bad)]
+    code, text = _run(argv)
+    assert code == 2 and text == ""
+    assert capsys.readouterr().err == "data error: invalid dataset: non-finite feature at index 2\n"
+
+
 def test_cv_deterministic_stdout(workdir):
     data = workdir / "data.miml"
     _run(["synth", "--spec", str(workdir / "spec.cfg"), "--out", str(data)])
@@ -560,6 +582,15 @@ def _old_svm_layout(p):
         "vectors": [[0.0] * (p["d"] + p["T"])], "coef": [1.0], "bias": 0.0}}]
 
 
+def _stump_edit(name, value):
+    """An edit of round 0's weak learner, for a model trained with
+    ``boost.base=stump``."""
+    def edit(p):
+        p["rounds"][0]["weak"][name] = value
+    edit.base = "stump"
+    return edit
+
+
 @pytest.mark.parametrize("edit,message", [
     (lambda p: p["rounds"][0]["sv"].__setitem__(0, -1), "sv index out of range"),
     (lambda p: p["rounds"][0]["sv"].__setitem__(0, len(p["pool"])), "sv index out of range"),
@@ -567,13 +598,22 @@ def _old_svm_layout(p):
     (lambda p: p["rounds"][0]["coef"].pop(), "round 0: sv, label and coef differ in length"),
     (lambda p: p["pool"][0].pop(), "pool rows must have d=4 features"),
     (_old_svm_layout, "'weak.vectors' layout"),
-])
+] + [pytest.param(_stump_edit(name, value), message, id=f"stump-{name}-{value}")
+     for name, value, message in [
+         # d + T = 7 columns: four features, then the label block
+         ("feature", 99, "feature index out of range [0, 7)"),
+         ("feature", -1, "feature index out of range [0, 7)"),
+         ("feature", 1.5, "feature must be a list of integers"),
+         ("feature", True, "feature must be a list of integers"),
+         ("polarity", 0, "polarity must be 1 or -1, got 0"),
+     ]])
 def test_malformed_mimlboost_payload_is_data_error(edit, message, tmp_path, capsys):
+    base = getattr(edit, "base", "svm")
     train = _synth(tmp_path, "train", "T=3\nd=4\nm=10\nseed=1\n")
-    model = _train(tmp_path, "mimlboost", train, "boost.rounds=3\n")
+    model = _train(tmp_path, "mimlboost", train, f"boost.rounds=3\nboost.base={base}\n")
     head, _, body = model.read_text().partition("\n")
     data = json.loads(body)
-    assert data["payload"]["rounds"] and data["payload"]["rounds"][0]["sv"]
+    assert data["payload"]["rounds"] and (base == "stump" or data["payload"]["rounds"][0]["sv"])
     edit(data["payload"])
     code, text = _eval_model_text(tmp_path, head + "\n" + json.dumps(data) + "\n")
     assert code == 2 and text == ""

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from miml.core import Bag, Bags, MimlDataset, label_matrix, label_signs, psi, validate_dataset
+from miml.core import Bag, Bags, MimlDataset, label_matrix, label_signs, psi
 
 from conftest import examples, make_dataset, random_dataset
 
@@ -41,6 +41,17 @@ def test_label_signs_equal_psi_on_random_sets(rng):
         assert Y.dtype == np.float64 and Y.tobytes() == want.tobytes()
 
 
+def _constructs(bags, Y):
+    """Whether ``MimlDataset(bags, Y)`` builds; any other outcome than the
+    one invalid-dataset error fails the test."""
+    try:
+        MimlDataset(bags, Y)
+    except ValueError as exc:
+        assert str(exc).startswith("invalid dataset: ")
+        return False
+    return True
+
+
 def test_validate_well_formed():
     ds = make_dataset(
         (
@@ -49,20 +60,19 @@ def test_validate_well_formed():
         ),
         T=2,
     )
-    assert validate_dataset(ds).valid
+    assert (ds.m, ds.T, ds.d) == (2, 2, 2)
 
 
 def test_validate_reports_each_violation():
     bags = Bags(["a", "b", "c", "d"], [[0.0] * 5, [0.0, np.inf, 0.0, 0.0, 0.0], [0.0] * 5],
                 [0, 1, 1, 2, 3])
     Y = np.array([[False, False], [True, False], [False, True], [True, True]])
-    report = validate_dataset(MimlDataset(bags, Y))
-    assert not report.valid
-    text = "\n".join(report.violations)
-    assert "empty label set at index 0" in text
-    assert "empty bag at index 1" in text
-    assert "non-finite feature at index 2" in text
-    assert len(report.violations) == 3
+    with pytest.raises(ValueError) as err:
+        MimlDataset(bags, Y)
+    assert str(err.value) == ("invalid dataset: empty bag at index 1; "
+                              "non-finite feature at index 2; empty label set at index 0")
+    with pytest.raises(ValueError, match="^invalid dataset: dataset has no examples$"):
+        MimlDataset(Bags([], np.zeros((0, 2)), [0]), np.zeros((0, 1), dtype=bool))
     # the stacked form holds one width and in-range labels only: building
     # it names the offending example instead
     with pytest.raises(ValueError, match="dimension"):
@@ -72,7 +82,8 @@ def test_validate_reports_each_violation():
 
 
 def test_validate_matches_brute_force(rng):
-    # validity agrees with an independent field-by-field re-check
+    # construction succeeds exactly when an independent field-by-field
+    # re-check finds the arrays valid
     for trial in range(50):
         ds = random_dataset(rng, m=int(rng.integers(1, 5)), T=3, d=2)
         bags, Y = ds.bags(), ds.Y.copy()
@@ -81,18 +92,14 @@ def test_validate_matches_brute_force(rng):
             Y[int(rng.integers(ds.m))] = False
         if trial % 4 == 1:  # corrupt a feature
             X[int(rng.integers(X.shape[0])), 0] = np.nan
-        ds = MimlDataset(Bags(bags.ids, X, bags.offsets), Y)
-        ok = True
-        if ds.m < 1:
-            ok = False
-        for bag, labels in examples(ds):
-            if bag.size < 1 or bag.dim != ds.d or not labels:
-                ok = False
-            if any(not (0 <= y < ds.T) for y in labels):
+        bags = Bags(bags.ids, X, bags.offsets)
+        ok = len(bags) >= 1
+        for bag, labels in zip(bags, Y.tolist()):
+            if bag.size < 1 or bag.dim != X.shape[1] or not any(labels):
                 ok = False
             if not np.isfinite(bag.feats).all():
                 ok = False
-        assert validate_dataset(ds).valid == ok
+        assert _constructs(bags, Y) == ok
 
 
 def test_bag_immutable():
@@ -104,8 +111,8 @@ def test_bag_immutable():
 def test_bag_equality_and_nonfinite_reported():
     assert Bag("a", [[1.0]]) == Bag("a", [[1.0]])
     assert Bag("a", [[1.0]]) != Bag("a", [[2.0]])
-    ds = make_dataset(((Bag("a", [[np.nan]]), frozenset({0})),), T=1)
-    assert any("non-finite" in v for v in validate_dataset(ds).violations)
+    with pytest.raises(ValueError, match="^invalid dataset: non-finite feature at index 0$"):
+        make_dataset(((Bag("a", [[np.nan]]), frozenset({0})),), T=1)
 
 
 def test_slices_are_views_and_subset_is_the_gather(rng):
